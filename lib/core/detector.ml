@@ -38,8 +38,7 @@ type t = {
   cov : Coverage.t;
   tel : Telemetry.t;
   xprof : Profile.t;  (* execute-stage attribution profiler *)
-  compact : bool;  (* compact value representations in the engine *)
-  mutable engine : Engine.t;
+  engine : Engine.t;
   mutable executed : int;
   mutable memoized : int;  (* how many of [executed] skipped the engine *)
   mutable passed : int;
@@ -54,8 +53,11 @@ type t = {
   mutable stage_parse : int;
   mutable stage_execute : int;
   mutable stage_storage : int;
-  mutable baseline : Storage.snapshot;
+  baseline : Storage.snapshot;
       (* the post-seed table state every scenario starts from *)
+  arming : (string * int) array;
+      (* the coverage arming the engine records (seed loading is
+         deterministic), credited again on every restart *)
   sites : (string, unit) Hashtbl.t;
   fp_signatures : (string, unit) Hashtbl.t;
   fp_buf : Buffer.t;  (* reused across FP-signature normalizations *)
@@ -67,12 +69,16 @@ type t = {
          slot nodes *)
 }
 
-(* Arming a fresh engine is the same work whether it is the initial start
-   or a post-crash restart, so both are timed under the
-   "restart-after-crash" stage. *)
-let fresh_engine tel cov xprof ~compact prof =
-  Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
-    (fun () -> Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
+(* The hits [cov] gained since [before] (its earlier [Coverage.points]). *)
+let coverage_since cov before =
+  let base = Hashtbl.of_seq (List.to_seq before) in
+  Coverage.points cov
+  |> List.filter_map (fun (point, n) ->
+         let d =
+           n - Option.value (Hashtbl.find_opt base point) ~default:0
+         in
+         if d > 0 then Some (point, d) else None)
+  |> Array.of_list
 
 let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     ?(compact = true) prof =
@@ -80,13 +86,19 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
   Profile.set_dialect xprof prof.Dialect.id;
-  let engine = fresh_engine tel cov xprof ~compact prof in
+  let before = Coverage.points cov in
+  (* arming is timed under the same stage as the post-crash resets, so
+     restarts = stage calls - arms *)
+  let engine =
+    Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
+      (fun () ->
+        Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
+  in
   {
     prof;
     cov;
     tel;
     xprof;
-    compact;
     engine;
     executed = 0;
     memoized = 0;
@@ -101,6 +113,7 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     stage_execute = 0;
     stage_storage = 0;
     baseline = Storage.snapshot (Engine.catalog engine);
+    arming = coverage_since cov before;
     sites = Hashtbl.create 64;
     fp_signatures = Hashtbl.create 16;
     fp_buf = Buffer.create 128;
@@ -110,18 +123,28 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     slot_buf = Array.make 16 Sqlfun_ast.Ast.Null;
   }
 
-(* A restart is the crash path: flush any streaming sinks first, so a
-   campaign killed mid-restart cannot have silently swallowed the events
-   leading up to the crash. The rebuilt engine re-loads the seed corpus,
-   and storage is then pinned to the baseline snapshot recorded at
-   [create]: a crash that killed the server mid-scenario (after its
-   CREATE/INSERT prerequisites ran) must not leak scenario tables — or
-   any seed-load drift — into the next case, so stateful PoCs replay
-   standalone against a cold engine. *)
+(* A restart is the crash path, done as an in-place reset of the
+   engine's mutable state ([Interp.env]) rather than a rebuild:
+   - [ctx.steps] is zeroed per statement by [Engine.run] anyway;
+   - the session is cleared;
+   - the catalog is restored to the post-seed baseline, so a crash that
+     killed the server mid-scenario (after its CREATE/INSERT
+     prerequisites ran) leaks no scenario tables into the next case and
+     stateful PoCs replay standalone on a cold engine;
+   - the fault runtime (immutable once armed), the registry (static per
+     dialect; its resolve cache is a pure memo) and the profiler
+     (shared by design) are untouched by a crash.
+   A rebuilt engine would also have re-recorded the seed load's
+   coverage, so that delta is credited to keep hit counts identical.
+   Sinks are flushed first, so a campaign killed mid-restart cannot
+   have silently swallowed the events leading up to the crash. *)
 let restart t =
   Telemetry.flush t.tel;
-  t.engine <- fresh_engine t.tel t.cov t.xprof ~compact:t.compact t.prof;
-  Storage.restore (Engine.catalog t.engine) t.baseline
+  Telemetry.with_span t.tel ~dialect:t.prof.Dialect.id "restart-after-crash"
+  @@ fun () ->
+  Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
+  Storage.restore (Engine.catalog t.engine) t.baseline;
+  Array.iter (fun (point, n) -> Coverage.add t.cov point n) t.arming
 
 let count_stage t = function
   | Fault.Parse -> t.stage_parse <- t.stage_parse + 1
@@ -269,7 +292,7 @@ let run_sql t ?pattern ?case_number sql =
    session is reset at the top of [classify], and table state is always
    the post-seed baseline — stateless probes never touch storage, a
    stateful scenario restores the baseline when it completes, and a
-   crash rebuilds the engine and re-pins the baseline in [restart]. So
+   crash resets the session and re-pins the baseline in [restart]. So
    a statement list seen before can replay its recorded verdict without
    the engine round-trip, bit-identically:
 
@@ -280,8 +303,8 @@ let run_sql t ?pattern ?case_number sql =
      increments — the distinct point set a re-execution would touch is
      already present (insertion is idempotent);
    - a cached crash still restarts the engine, exactly as the
-     re-executed crash would have, so the engine lifecycle (and the
-     arming coverage it records) is identical to an uncached run;
+     re-executed crash would have, so the restart count (and the arming
+     coverage each restart credits) is identical to an uncached run;
    - a cached non-crash scenario skips its prerequisites entirely, so
      there is nothing to restore — storage was never touched;
    - New-vs-Dup is re-derived from the [sites] table (and, across
@@ -508,7 +531,7 @@ let run_scenario t ?case_number (sc : Patterns.scenario) =
       in
       (match verdict with
        | New_bug _ | Dup_bug _ | Known_crash _ ->
-         (* the crash path already rebuilt the engine on the baseline *)
+         (* the crash path already reset the engine to the baseline *)
          ()
        | Passed | Clean_error _ | False_positive _ ->
          Storage.restore (Engine.catalog t.engine) t.baseline);
@@ -659,9 +682,6 @@ let run_batch t ?case_numbers (b : Patterns.batch) =
                    | Some a -> a.(i)
                    | None -> t.executed
                  in
-                 (* [t.engine] is re-read each member: a crash restart
-                    replaces it mid-batch, and the plan stays valid
-                    because registries are static per-dialect data *)
                  Sqlfun_functions.Fn_ctx.reset_session
                    (Engine.context t.engine);
                  Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
@@ -757,6 +777,8 @@ let stage_verdicts t =
   { parse = t.stage_parse; execute = t.stage_execute; storage = t.stage_storage }
 let bugs t = List.rev t.found
 let coverage t = t.cov
+let arming_coverage t = Array.to_list t.arming
+let engine t = t.engine
 let profile t = t.prof
 let telemetry t = t.tel
 let exec_profile t = t.xprof

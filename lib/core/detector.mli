@@ -3,7 +3,13 @@
     Statements run against a live (armed) simulated server. A clean SQL
     error is the expected boundary behaviour; a {!Sqlfun_fault.Fault.Crash}
     or a blown stack is a found bug (the server "died" and is restarted);
-    a resource-limit termination is the paper's false-positive class. *)
+    a resource-limit termination is the paper's false-positive class.
+
+    A restart is an in-place reset, not a rebuild: the engine's mutable
+    state is its session (cleared), its step counter (zeroed per
+    statement anyway) and its catalog (restored to the post-seed
+    baseline); the fault runtime, the per-dialect registry and the
+    profiler are unchanged by a crash. *)
 
 open Sqlfun_fault
 open Sqlfun_dialects
@@ -34,7 +40,8 @@ val create :
   ?compact:bool ->
   Dialect.profile ->
   t
-(** Builds an armed engine for the profile (restarted after each crash).
+(** Builds an armed engine for the profile (reset in place after each
+    crash).
 
     [profile] is the execute-stage attribution profiler (see
     {!Sqlfun_telemetry.Profile}): a root scope around every engine
@@ -50,8 +57,9 @@ val create :
     collector to share aggregates with the rest of a campaign or to
     stream events. Each executed statement is timed as an ["execute"]
     span (the engine round-trip) plus a ["detect"] span (verdict
-    bookkeeping); engine arms/restarts are ["restart-after-crash"]
-    spans; every verdict bumps the dialect x pattern x class counter.
+    bookkeeping); the engine arm and each in-place reset after a crash
+    are ["restart-after-crash"] spans; every verdict bumps the dialect
+    x pattern x class counter.
 
     [memo] (default [true]) enables verdict memoization: side-effect-free
     statements ([SELECT]/[EXPLAIN]) are fingerprinted
@@ -189,6 +197,17 @@ val merge_bugs : found_bug list list -> found_bug list * found_bug list
     counters must be reclassified to [Dup_bug]). *)
 
 val coverage : t -> Sqlfun_coverage.Coverage.t
+
+val arming_coverage : t -> (string * int) list
+(** The hits arming the engine recorded into {!coverage} at {!create}
+    (points with hit counts, sorted by name): the coverage of loading
+    the seed corpus. Every crash restart credits it again, so hit
+    counts equal those of rebuilding the engine per crash. *)
+
+val engine : t -> Sqlfun_engine.Engine.t
+(** The detector's engine. It lives as long as the detector: a crash
+    restart resets it in place. *)
+
 val profile : t -> Dialect.profile
 
 val telemetry : t -> Sqlfun_telemetry.Telemetry.t

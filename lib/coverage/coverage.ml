@@ -11,6 +11,12 @@ let hit t point =
   | Some r -> incr r
   | None -> Hashtbl.add t.tbl point (ref 1)
 
+let add t point n =
+  t.hits <- t.hits + n;
+  match Hashtbl.find_opt t.tbl point with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.add t.tbl point (ref n)
+
 let count t = Hashtbl.length t.tbl
 let total_hits t = t.hits
 

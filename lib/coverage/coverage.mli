@@ -11,6 +11,10 @@ val create : unit -> t
 val hit : t -> string -> unit
 (** Record one execution of the named branch point. *)
 
+val add : t -> string -> int -> unit
+(** [add t point n] records [n] executions of [point] at once — the same
+    counts as [n] calls of {!hit} ([n >= 1]). *)
+
 val count : t -> int
 (** Number of distinct points hit. *)
 

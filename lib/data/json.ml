@@ -270,7 +270,8 @@ let parse_path s =
           if j >= n then Error "unterminated [ in path"
           else
             (match int_of_string_opt (String.sub s (i + 1) (j - i - 1)) with
-             | Some idx -> go (j + 1) (Index idx :: acc)
+             | Some idx when idx >= 0 -> go (j + 1) (Index idx :: acc)
+             | Some _ -> Error "negative index in path"
              | None -> Error "bad index in path")
         | c -> Error (Printf.sprintf "unexpected %C in path" c)
     in

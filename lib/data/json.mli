@@ -39,7 +39,8 @@ type path_step =
   | Index of int
 
 val parse_path : string -> (path_step list, string) result
-(** Parses [$.a.b[0]] style paths. *)
+(** Parses [$.a.b[0]] style paths. Array indices must be non-negative:
+    [$.a[-1]] is an error. *)
 
 val extract : t -> path_step list -> t option
 

@@ -73,8 +73,13 @@ let int_args st =
     let rec go acc =
       match peek st with
       | Lexer.INT s ->
+        let n =
+          match int_of_string_opt s with
+          | Some n -> n
+          | None -> fail st "type argument out of range"
+        in
         advance st;
-        let acc = int_of_string s :: acc in
+        let acc = n :: acc in
         if peek st = Lexer.COMMA then begin
           advance st;
           go acc

@@ -208,6 +208,40 @@ let test_trigger_eval_unit () =
   Alcotest.(check bool) "missing arg index" false
     (Fault.eval_cond (Arg_at (3, Is_null)) [ arg Value.Null ])
 
+let test_stray_exceptions_are_clean_errors () =
+  (* statements that once escaped the engine as raw OCaml exceptions
+     (Invalid_argument "List.nth", Failure "int_of_string") must come
+     back as clean errors, armed or not *)
+  let expect_clean d ~armed sql ok =
+    let e = Dialect.make_engine ~armed (Dialect.find_exn d) in
+    match Engine.exec_sql e sql with
+    | Error err when ok err -> ()
+    | Error err ->
+      Alcotest.failf "%s: %S gave the wrong error: %s" d sql
+        (Engine.error_to_string err)
+    | Ok _ -> Alcotest.failf "%s: %S succeeded" d sql
+    | exception ex ->
+      Alcotest.failf "%s: %S raised %s" d sql (Printexc.to_string ex)
+  in
+  let sql_error = function Engine.Sql_failed _ -> true | _ -> false in
+  let parse_error = function Engine.Parse_failed _ -> true | _ -> false in
+  List.iter
+    (fun armed ->
+      List.iter
+        (fun d ->
+          expect_clean d ~armed
+            "SELECT JSON_EXTRACT('{\"a\": [1, 2]}', '$.a[-1]')" sql_error)
+        [ "mysql"; "postgresql"; "monetdb" ];
+      List.iter
+        (fun d ->
+          expect_clean d ~armed
+            "CREATE TABLE t (c DECIMAL(999999999999999999999910,2))"
+            parse_error;
+          expect_clean d ~armed "SELECT T::textAN(9999999999999999999999,()"
+            parse_error)
+        Dialect.ids)
+    [ false; true ]
+
 let suite =
   ( "dialects",
     [
@@ -233,4 +267,6 @@ let suite =
       Alcotest.test_case "json depth crash on mariadb" `Quick
         test_json_depth_crash_mariadb;
       Alcotest.test_case "trigger evaluation" `Quick test_trigger_eval_unit;
+      Alcotest.test_case "stray exceptions are clean errors" `Quick
+        test_stray_exceptions_are_clean_errors;
     ] )

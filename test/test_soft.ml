@@ -501,6 +501,152 @@ let test_scenario_crash_restores_baseline () =
         Alcotest.failf "stateful PoC did not replay standalone:\n%s" poc)
     stateful_pocs
 
+(* ----- crash restart as an in-place reset ----- *)
+
+let test_arming_delta_equals_fresh_arm () =
+  (* the coverage a restart credits is what arming a fresh engine
+     records into an empty recorder, for every dialect — so the credit
+     follows the seed corpus if it changes; a non-empty recorder passed
+     to [create] does not leak into the delta *)
+  List.iter
+    (fun prof ->
+      let fresh = Sqlfun_coverage.Coverage.create () in
+      ignore (Dialect.make_engine ~cov:fresh ~armed:true prof);
+      let expected = Sqlfun_coverage.Coverage.points fresh in
+      Alcotest.(check bool)
+        (prof.Dialect.id ^ " arming records coverage")
+        true (expected <> []);
+      let det = Soft.Detector.create prof in
+      Alcotest.(check (list (pair string int)))
+        (prof.Dialect.id ^ " arming delta")
+        expected
+        (Soft.Detector.arming_coverage det);
+      let used = Sqlfun_coverage.Coverage.create () in
+      Sqlfun_coverage.Coverage.hit used "earlier/campaign";
+      List.iter
+        (fun (p, _) -> Sqlfun_coverage.Coverage.hit used p)
+        expected;
+      let det = Soft.Detector.create ~cov:used prof in
+      Alcotest.(check (list (pair string int)))
+        (prof.Dialect.id ^ " arming delta on a used recorder")
+        expected
+        (Soft.Detector.arming_coverage det))
+    Dialect.all
+
+(* per-point hit counts [cov] gained since [before] *)
+let coverage_gain cov before =
+  List.filter_map
+    (fun (p, n) ->
+      let d = n - Option.value (List.assoc_opt p before) ~default:0 in
+      if d > 0 then Some (p, d) else None)
+    (Sqlfun_coverage.Coverage.points cov)
+
+let test_crash_reset_in_place () =
+  (* a crash at each occurrence stage leaves the detector's engine in
+     the state a fresh detector starts from: storage equal to the
+     post-seed baseline, an empty session, and a next scenario whose
+     verdict and coverage delta match a fresh detector's *)
+  let prof = Dialect.find_exn "mysql" in
+  let parse sql =
+    match Sqlfun_parse.Parser.parse_stmt sql with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "%S: %s" sql msg
+  in
+  let scenario prereqs probe =
+    {
+      Soft.Patterns.prereqs = List.map parse prereqs;
+      case =
+        {
+          Soft.Patterns.stmt = parse probe;
+          pattern = Pattern_id.P2_1;
+          origin = probe;
+        };
+    }
+  in
+  (* the prerequisites leave a scenario table and session state behind
+     (INSERT sets ROW_COUNT, UUID bumps LAST_INSERT_ID) *)
+  let setup =
+    [ "CREATE TABLE soft_sa (v TEXT)"; "INSERT INTO soft_sa VALUES ('x')";
+      "SELECT UUID()" ]
+  in
+  let crashes =
+    [
+      (Fault.Parse, "CREATE TABLE soft_sb (v DECIMAL(40,2))");
+      (Fault.Storage, "INSERT INTO soft_sa VALUES (REPEAT('a', 30))");
+      (Fault.Execute, "SELECT AVG(1." ^ String.make 50 '9' ^ ")");
+    ]
+  in
+  let next =
+    scenario
+      [ "CREATE TABLE soft_sa (v INT)"; "INSERT INTO soft_sa VALUES (7)" ]
+      "SELECT LAST_INSERT_ID() + ROW_COUNT() + SUM(v) FROM soft_sa"
+  in
+  let run_next det =
+    let cov = Soft.Detector.coverage det in
+    let before = Sqlfun_coverage.Coverage.points cov in
+    let v = Soft.Detector.run_scenario det next in
+    (v, coverage_gain cov before)
+  in
+  let fresh_verdict, fresh_gain = run_next (Soft.Detector.create prof) in
+  Alcotest.(check bool) "next scenario passes on a fresh detector" true
+    (fresh_verdict = Soft.Detector.Passed);
+  List.iter
+    (fun (stage, probe) ->
+      let label = Fault.stage_to_string stage in
+      let det = Soft.Detector.create prof in
+      let engine = Soft.Detector.engine det in
+      let baseline =
+        Sqlfun_engine.Storage.snapshot (Sqlfun_engine.Engine.catalog engine)
+      in
+      let cov = Soft.Detector.coverage det in
+      let before = Sqlfun_coverage.Coverage.points cov in
+      (match Soft.Detector.run_scenario det (scenario setup probe) with
+       | Soft.Detector.New_bug spec ->
+         Alcotest.(check string) (label ^ " crash stage") label
+           (Fault.stage_to_string spec.Fault.stage)
+       | _ -> Alcotest.failf "%s probe did not crash: %s" label probe);
+      (* the crash scenario's coverage is what it records on a fresh
+         armed engine plus one credited arm, as if the engine had been
+         rebuilt *)
+      let expected =
+        let rcov = Sqlfun_coverage.Coverage.create () in
+        let e = Dialect.make_engine ~cov:rcov ~armed:true prof in
+        let armed = Sqlfun_coverage.Coverage.points rcov in
+        Sqlfun_functions.Fn_ctx.reset_session
+          (Sqlfun_engine.Engine.context e);
+        (try
+           List.iter
+             (fun sql -> ignore (Sqlfun_engine.Engine.exec_sql e sql))
+             (setup @ [ probe ])
+         with Fault.Crash _ -> ());
+        let sum = Sqlfun_coverage.Coverage.create () in
+        List.iter
+          (fun (p, n) -> Sqlfun_coverage.Coverage.add sum p n)
+          (coverage_gain rcov armed @ Soft.Detector.arming_coverage det);
+        Sqlfun_coverage.Coverage.points sum
+      in
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": crash coverage credits one arm") expected
+        (coverage_gain cov before);
+      Alcotest.(check bool) (label ^ ": same engine") true
+        (Soft.Detector.engine det == engine);
+      Alcotest.(check bool) (label ^ ": storage at baseline") true
+        (Sqlfun_engine.Storage.snapshot (Sqlfun_engine.Engine.catalog engine)
+         = baseline);
+      let ctx = Sqlfun_engine.Engine.context engine in
+      Alcotest.(check int) (label ^ ": no sequences") 0
+        (Hashtbl.length ctx.Sqlfun_functions.Fn_ctx.sequences);
+      Alcotest.(check int64) (label ^ ": no last insert id") 0L
+        ctx.Sqlfun_functions.Fn_ctx.last_insert_id;
+      Alcotest.(check int) (label ^ ": no row count") 0
+        ctx.Sqlfun_functions.Fn_ctx.row_count;
+      let v, gain = run_next det in
+      Alcotest.(check bool) (label ^ ": next verdict as fresh") true
+        (v = fresh_verdict);
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": next coverage delta as fresh") fresh_gain gain)
+    crashes
+
 let test_stateful_campaign_identical () =
   (* the scenario determinism bar: a stateful campaign's verdict JSON
      (scenario counters and stage attribution included — they live in
@@ -885,6 +1031,10 @@ let suite =
         test_scenario_positions_counted;
       Alcotest.test_case "scenario crash restores baseline" `Quick
         test_scenario_crash_restores_baseline;
+      Alcotest.test_case "arming delta equals a fresh arm" `Quick
+        test_arming_delta_equals_fresh_arm;
+      Alcotest.test_case "crash reset in place (every stage)" `Quick
+        test_crash_reset_in_place;
       Alcotest.test_case "stateful campaign identical (memo on/off)" `Slow
         test_stateful_campaign_identical;
       Alcotest.test_case "memoized campaign identical" `Slow
