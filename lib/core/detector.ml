@@ -38,6 +38,7 @@ type t = {
   cov : Coverage.t;
   tel : Telemetry.t;
   xprof : Profile.t;  (* execute-stage attribution profiler *)
+  xroot : Profile.fn_stats;  (* its root record, resolved once *)
   engine : Engine.t;
   mutable executed : int;
   mutable memoized : int;  (* how many of [executed] skipped the engine *)
@@ -99,6 +100,7 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     cov;
     tel;
     xprof;
+    xroot = Profile.root_stats xprof;
     engine;
     executed = 0;
     memoized = 0;
@@ -253,29 +255,39 @@ let classify t ?pattern ?case_number ~poc run =
      engine only sees a sub-stream of the cases). *)
   Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
   (* The execute stage is the engine round-trip; crashes are turned into
-     data so the span closes with the statement's true wall time. *)
+     data so the span closes with the statement's true wall time. The
+     root attribution frame brackets the same interval — whatever the
+     engine's named scopes (parse/plan/eval/storage) don't claim of it
+     is charged to the [other] bucket as this frame's self-time — and
+     the detect span and the classify frame bracket the next one, so
+     three clock readings serve all four, whatever the sink. *)
+  let close stage ~start ts =
+    Profile.exit_at t.xprof ts;
+    Telemetry.span_close_at t.tel ~dialect ~pattern:pat stage ~start ts
+  in
+  let t0 = Profile.enter_now t.xprof t.xroot Profile.Other in
+  Telemetry.span_open_at t.tel ~dialect ~pattern:pat "execute" t0;
   let outcome =
-    Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
-        (* root attribution frame: whatever the engine's named scopes
-           (parse/plan/eval/storage) don't claim of this round-trip is
-           charged to the [other] bucket as this frame's self-time *)
-        Profile.enter t.xprof Profile.Other;
-        match run () with
-        | r ->
-          Profile.exit t.xprof;
-          `Res r
-        | exception Fault.Crash spec ->
-          Profile.exit t.xprof;
-          `Crashed spec
-        | exception Stack_overflow ->
-          Profile.exit t.xprof;
-          `Blown)
+    match run () with
+    | r -> `Res r
+    | exception Fault.Crash spec -> `Crashed spec
+    | exception Stack_overflow -> `Blown
+    | exception exn ->
+      close "execute" ~start:t0 (Telemetry.now_ns ());
+      raise exn
   in
+  let t1 = Telemetry.now_ns () in
+  close "execute" ~start:t0 t1;
+  Telemetry.span_open_at t.tel ~dialect ~pattern:pat "detect" t1;
+  Profile.enter_at t.xprof t.xroot Profile.Classify t1;
   let verdict =
-    Telemetry.with_span t.tel ~dialect ~pattern:pat "detect" @@ fun () ->
-    Profile.with_phase t.xprof Profile.Classify @@ fun () ->
-    settle t ~pattern ~pat ~dialect ~case_number ~poc outcome
+    match settle t ~pattern ~pat ~dialect ~case_number ~poc outcome with
+    | v -> v
+    | exception exn ->
+      close "detect" ~start:t1 (Telemetry.now_ns ());
+      raise exn
   in
+  close "detect" ~start:t1 (Telemetry.now_ns ());
   Telemetry.count_verdict t.tel ~dialect ~pattern:pat ~case_number
     (verdict_class verdict);
   verdict
@@ -666,12 +678,10 @@ let run_batch t ?case_numbers (b : Patterns.batch) =
             vector out of [cur], so clean cases allocate nothing *)
          let cur = ref b.Patterns.b_slots in
          let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
-         (* the verdict-counter row and the profiler's root record are
-            keyed by dialect x pattern, both constant across the batch:
-            resolve them once instead of probing string-keyed tables
-            per member *)
+         (* the verdict-counter row is keyed by dialect x pattern, both
+            constant across the batch: resolve it once instead of
+            probing string-keyed tables per member *)
          let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
-         let root = Profile.root_stats t.xprof in
          Telemetry.with_span t.tel ~dialect ~pattern:pat "execute"
            (fun () ->
              List.iteri
@@ -689,7 +699,7 @@ let run_batch t ?case_numbers (b : Patterns.batch) =
                     round-trip only, exactly like [classify]'s —
                     widening it over the verdict bookkeeping would
                     deflate the attribution ratio *)
-                 Profile.enter_with t.xprof root Profile.Other;
+                 ignore (Profile.enter_now t.xprof t.xroot Profile.Other);
                  let outcome =
                    match Engine.exec_compiled t.engine plan buf with
                    | r ->

@@ -499,7 +499,7 @@ let compile ~registry (stmt : Ast.stmt) : compiled =
             | Ast.Proj_expr (e, None) ->
               (match e with
                | Ast.Column (_, n) -> n
-               | _ -> Printf.sprintf "col%d" (i + 1))
+               | _ -> Interp.default_column_name i)
             | Ast.Proj_star -> assert false)
           sel.Ast.projection
       in

@@ -19,6 +19,14 @@ type outcome = Rows of result_set | Affected of int
 
 let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 
+(* every SELECT names its unaliased projections: the common positions
+   are spelled once here instead of formatted per statement *)
+let column_names = Array.init 32 (fun i -> "col" ^ string_of_int (i + 1))
+
+let default_column_name i =
+  if i < Array.length column_names then column_names.(i)
+  else Printf.sprintf "col%d" (i + 1)
+
 (* ----- LIKE ----- *)
 
 let like_match ~pattern s =
@@ -655,7 +663,7 @@ and exec_select env (sel : Ast.select) : result_set =
         | Ast.Proj_expr (e, None) ->
           (match e with
            | Ast.Column (_, n) -> n
-           | _ -> Printf.sprintf "col%d" (i + 1)))
+           | _ -> default_column_name i))
       sel.Ast.projection
   in
   let plain bindings =

@@ -45,6 +45,10 @@ val like_match : pattern:string -> string -> bool
     compiler ({!Compile}); both execution paths must evaluate every node
     identically — values, ticks, coverage, provenance, and errors. *)
 
+val default_column_name : int -> string
+(** ["col<i+1>"], the name of the unaliased non-column projection at
+    0-based position [i]. *)
+
 val value_of_int_lit : string -> Value.t
 val value_of_dec_lit : string -> Value.t
 

@@ -86,17 +86,17 @@ type spec = {
 
 exception Crash of spec
 
+(* Naive search compared in place: every [Str_contains] trigger scans
+   boundary strings of up to megabytes, so no substring per offset. *)
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then true
-  else begin
-    let rec go i =
-      if i + nn > nh then false
-      else if String.sub hay i nn = needle then true
-      else go (i + 1)
-    in
-    go 0
-  end
+  let rec matches_at i k =
+    k = nn
+    || String.unsafe_get hay (i + k) = String.unsafe_get needle k
+       && matches_at i (k + 1)
+  in
+  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
+  go 0
 
 let string_payload v =
   match v with

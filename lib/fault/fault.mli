@@ -103,6 +103,10 @@ val disarm : runtime -> unit
 val is_armed : runtime -> bool
 val specs : runtime -> spec list
 
+val contains_substring : string -> string -> bool
+(** [contains_substring hay needle]: does [needle] occur in [hay]? The
+    empty needle occurs everywhere. What [Str_contains] tests. *)
+
 val eval_arg_cond : arg_cond -> arg -> bool
 val eval_cond : cond -> arg list -> bool
 

@@ -3,6 +3,7 @@
 
 open Sqlfun_value
 open Sqlfun_data
+open Sqlfun_num
 
 let cat = "date"
 let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
@@ -156,7 +157,9 @@ let dayname_fn =
     (fun ctx args ->
       Value.Str day_names.(Calendar.day_of_week (Args.date ctx args 0)))
 
-(* DATE_FORMAT with the common MySQL % specifiers. *)
+(* DATE_FORMAT with the common MySQL % specifiers. Boundary templates
+   repeat a specifier thousands of times, so fields go through the
+   {!Digits} writers rather than a format string per specifier. *)
 let date_format_fn =
   scalar "DATE_FORMAT" ~min_args:2 ~max_args:(Some 2)
     ~hints:[ Func_sig.H_datetime; Func_sig.H_format ]
@@ -171,18 +174,18 @@ let date_format_fn =
         if i >= n then ()
         else if fmt.[i] = '%' && i + 1 < n then begin
           (match fmt.[i + 1] with
-           | 'Y' -> Buffer.add_string buf (Printf.sprintf "%04d" d.Calendar.year)
-           | 'y' -> Buffer.add_string buf (Printf.sprintf "%02d" (d.Calendar.year mod 100))
-           | 'm' -> Buffer.add_string buf (Printf.sprintf "%02d" d.Calendar.month)
-           | 'c' -> Buffer.add_string buf (string_of_int d.Calendar.month)
-           | 'd' -> Buffer.add_string buf (Printf.sprintf "%02d" d.Calendar.day)
-           | 'e' -> Buffer.add_string buf (string_of_int d.Calendar.day)
-           | 'H' -> Buffer.add_string buf (Printf.sprintf "%02d" t.Calendar.hour)
-           | 'i' -> Buffer.add_string buf (Printf.sprintf "%02d" t.Calendar.minute)
-           | 's' | 'S' -> Buffer.add_string buf (Printf.sprintf "%02d" t.Calendar.second)
+           | 'Y' -> Digits.add_padded buf 4 d.Calendar.year
+           | 'y' -> Digits.add_padded buf 2 (d.Calendar.year mod 100)
+           | 'm' -> Digits.add_padded buf 2 d.Calendar.month
+           | 'c' -> Digits.add_int buf d.Calendar.month
+           | 'd' -> Digits.add_padded buf 2 d.Calendar.day
+           | 'e' -> Digits.add_int buf d.Calendar.day
+           | 'H' -> Digits.add_padded buf 2 t.Calendar.hour
+           | 'i' -> Digits.add_padded buf 2 t.Calendar.minute
+           | 's' | 'S' -> Digits.add_padded buf 2 t.Calendar.second
            | 'M' -> Buffer.add_string buf month_names.(d.Calendar.month - 1)
            | 'W' -> Buffer.add_string buf day_names.(Calendar.day_of_week d)
-           | 'j' -> Buffer.add_string buf (Printf.sprintf "%03d" (Calendar.day_of_year d))
+           | 'j' -> Digits.add_padded buf 3 (Calendar.day_of_year d)
            | '%' -> Buffer.add_char buf '%'
            | c ->
              Fn_ctx.point ctx "date-format/unknown-spec";

@@ -125,28 +125,38 @@ let grow t =
 let push t stats phase =
   if t.depth >= Array.length t.stack then grow t;
   let fr = t.stack.(t.depth) in
-  fr.fr_stats <- stats;
+  (* a frame mostly reopens on the record it held last time; skipping
+     the redundant store skips its write barrier *)
+  if fr.fr_stats != stats then fr.fr_stats <- stats;
   fr.fr_phase <- phase_index phase;
   fr.fr_child <- 0;
-  fr.fr_start <- now_ns ();
-  t.depth <- t.depth + 1
+  t.depth <- t.depth + 1;
+  fr
 
-let enter_fn t func phase = push t (stats_of t func) phase
+(* the clock is read last, so a frame's own bookkeeping (possibly a
+   cache miss on a cold frame) stays outside its interval *)
+let enter_now t stats phase =
+  let fr = push t stats phase in
+  let ts = now_ns () in
+  fr.fr_start <- ts;
+  ts
+
+let enter_at t stats phase ts = (push t stats phase).fr_start <- ts
+let enter_fn t func phase = ignore (enter_now t (stats_of t func) phase)
 let root_stats t = stats_of t ""
-let enter_with t stats phase = push t stats phase
 
 let enter t phase =
   let stats =
     if t.depth = 0 then stats_of t ""
     else t.stack.(t.depth - 1).fr_stats
   in
-  push t stats phase
+  ignore (enter_now t stats phase)
 
-let exit t =
+let exit_at t ts =
   if t.depth > 0 then begin
     let fr = t.stack.(t.depth - 1) in
     t.depth <- t.depth - 1;
-    let dur = now_ns () - fr.fr_start in
+    let dur = ts - fr.fr_start in
     let self = dur - fr.fr_child in
     (* a clock hiccup or a child measured longer than its parent (ns
        truncation) must not push a key negative *)
@@ -161,6 +171,8 @@ let exit t =
       parent.fr_child <- parent.fr_child + dur
     end
   end
+
+let exit t = exit_at t (now_ns ())
 
 let with_phase t phase f =
   enter t phase;

@@ -63,20 +63,32 @@ val exit : t -> unit
     child account. No-op at depth 0. *)
 
 type fn_stats
-(** A pre-resolved [dialect x function] stats record. The batched
-    member loop opens one root scope per engine round-trip; resolving
-    the anonymous-function record once per batch skips the per-call
-    table probe {!enter} pays at depth 0. *)
+(** A pre-resolved [dialect x function] stats record. The detector
+    opens one root scope per engine round-trip; resolving the
+    anonymous-function record once skips the per-call table probe
+    {!enter} pays at depth 0. *)
 
 val root_stats : t -> fn_stats
 (** The anonymous-function ([""]) record of the current dialect —
     what a depth-0 {!enter} charges. Re-resolve after
     {!set_dialect}. *)
 
-val enter_with : t -> fn_stats -> phase -> unit
-(** [enter_with t stats phase] opens a scope charging [stats]
-    directly — observably identical to {!enter} at depth 0 with the
-    same dialect. *)
+val enter_now : t -> fn_stats -> phase -> int
+(** [enter_now t stats phase] opens a scope charging [stats] directly
+    and returns its start, the {!Telemetry.now_ns} reading it takes as
+    its last step — observably {!enter} at depth 0 with {!root_stats}.
+    The detector's root frame shares that reading with the [execute]
+    span it opens. *)
+
+val enter_at : t -> fn_stats -> phase -> int -> unit
+(** [enter_at t stats phase ts] opens a scope charging [stats] that
+    started at [ts], a reading the caller took for other bookkeeping —
+    the detector's classify frame starts at the reading that closes
+    [execute]. *)
+
+val exit_at : t -> int -> unit
+(** [exit_at t ts] is {!exit} at time [ts] instead of a fresh clock
+    reading. *)
 
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
 (** Exception-safe [enter]/[exit] pair; the scope closes (and the

@@ -350,29 +350,32 @@ let record_stage t ~stage dur_ns =
 
 (* ----- spans ----- *)
 
-let with_span t ?(dialect = "") ?(pattern = "") stage f =
+let span_open_at t ~dialect ~pattern stage ts =
   let depth = t.depth in
   t.depth <- depth + 1;
+  match t.sink with
+  | Null -> ()
+  | Emit e -> e (Span_open { stage; dialect; pattern; depth; ts_ns = ts })
+
+let span_close_at t ~dialect ~pattern stage ~start ts =
+  let depth = t.depth - 1 in
+  t.depth <- depth;
+  let dur_ns = ts - start in
+  record_stage t ~stage dur_ns;
+  match t.sink with
+  | Null -> ()
+  | Emit e ->
+    e (Span_close { stage; dialect; pattern; depth; ts_ns = ts; dur_ns })
+
+let with_span t ?(dialect = "") ?(pattern = "") stage f =
   let t0 = now_ns () in
-  (match t.sink with
-   | Null -> ()
-   | Emit e -> e (Span_open { stage; dialect; pattern; depth; ts_ns = t0 }));
-  let finish () =
-    let t1 = now_ns () in
-    let dur_ns = t1 - t0 in
-    t.depth <- depth;
-    record_stage t ~stage dur_ns;
-    match t.sink with
-    | Null -> ()
-    | Emit e ->
-      e (Span_close { stage; dialect; pattern; depth; ts_ns = t1; dur_ns })
-  in
+  span_open_at t ~dialect ~pattern stage t0;
   match f () with
   | v ->
-    finish ();
+    span_close_at t ~dialect ~pattern stage ~start:t0 (now_ns ());
     v
   | exception exn ->
-    finish ();
+    span_close_at t ~dialect ~pattern stage ~start:t0 (now_ns ());
     raise exn
 
 let time_seq t ?dialect ?pattern ~stage seq =

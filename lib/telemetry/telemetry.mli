@@ -129,6 +129,20 @@ val with_span :
     exception is re-raised) when [f] raises — crashes are exactly the
     events worth timing. Spans nest; depth is tracked per collector. *)
 
+val span_open_at :
+  t -> dialect:string -> pattern:string -> string -> int -> unit
+(** [span_open_at t ~dialect ~pattern stage ts] opens a [stage] span
+    that started at [ts], a {!now_ns} reading the caller shares with
+    other bookkeeping — the detector opens its [detect] span at the
+    very reading that closes [execute]. Must be paired with
+    {!span_close_at}; {!with_span} is both, with its own readings. *)
+
+val span_close_at :
+  t -> dialect:string -> pattern:string -> string -> start:int -> int -> unit
+(** [span_close_at t ~dialect ~pattern stage ~start ts] closes the
+    innermost span, opened at [start], at [ts]: the same aggregate
+    update and [span_close] event as {!with_span}. *)
+
 val time_seq :
   t -> ?dialect:string -> ?pattern:string -> stage:string -> 'a Seq.t -> 'a Seq.t
 (** Wraps a lazy sequence so that forcing each node is timed as one

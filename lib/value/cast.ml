@@ -129,10 +129,9 @@ let rec to_int_target cfg target v =
             ((d.Calendar.year * 10000) + (d.Calendar.month * 100) + d.Calendar.day)))
   | Value.Blob _ | Value.Time _ | Value.Datetime _ | Value.Interval _
   | Value.Json _ | Value.Arr _ | Value.Map _ | Value.Row _ | Value.Inet _
-  | Value.Uuid _ | Value.Geom _ | Value.Xml _ ->
+  | Value.Uuid _ | Value.Geom _ | Value.Xml _ | Value.Range_arr _ ->
     Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to integer"))
-  | Value.Range_arr _ | Value.Rope_str _ ->
-    to_int_target cfg target (Value.view v)
+  | Value.Rope_str _ -> to_int_target cfg target (Value.view v)
   | Value.Null -> Ok Value.Null
 
 let to_unsigned cfg v =
@@ -189,10 +188,10 @@ let rec to_decimal ?(precision_cap = max_decimal_precision) cfg spec v =
   | Value.Null -> Ok Value.Null
   | Value.Blob _ | Value.Date _ | Value.Time _ | Value.Datetime _
   | Value.Interval _ | Value.Json _ | Value.Arr _ | Value.Map _ | Value.Row _
-  | Value.Inet _ | Value.Uuid _ | Value.Geom _ | Value.Xml _ ->
+  | Value.Inet _ | Value.Uuid _ | Value.Geom _ | Value.Xml _
+  | Value.Range_arr _ ->
     Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to DECIMAL"))
-  | Value.Range_arr _ | Value.Rope_str _ ->
-    to_decimal ~precision_cap cfg spec (Value.view v)
+  | Value.Rope_str _ -> to_decimal ~precision_cap cfg spec (Value.view v)
 
 (* ----- float target ----- *)
 
@@ -218,9 +217,10 @@ let rec to_float_target cfg v =
   | Value.Null -> Ok Value.Null
   | Value.Blob _ | Value.Date _ | Value.Time _ | Value.Datetime _
   | Value.Interval _ | Value.Json _ | Value.Arr _ | Value.Map _ | Value.Row _
-  | Value.Inet _ | Value.Uuid _ | Value.Geom _ | Value.Xml _ ->
+  | Value.Inet _ | Value.Uuid _ | Value.Geom _ | Value.Xml _
+  | Value.Range_arr _ ->
     Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to DOUBLE"))
-  | Value.Range_arr _ | Value.Rope_str _ -> to_float_target cfg (Value.view v)
+  | Value.Rope_str _ -> to_float_target cfg (Value.view v)
 
 (* ----- string targets ----- *)
 
@@ -267,9 +267,10 @@ let rec to_date cfg v =
   | Value.Null -> Ok Value.Null
   | Value.Bool _ | Value.Dec _ | Value.Float _ | Value.Blob _ | Value.Time _
   | Value.Interval _ | Value.Json _ | Value.Arr _ | Value.Map _ | Value.Row _
-  | Value.Inet _ | Value.Uuid _ | Value.Geom _ | Value.Xml _ ->
+  | Value.Inet _ | Value.Uuid _ | Value.Geom _ | Value.Xml _
+  | Value.Range_arr _ ->
     Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to DATE"))
-  | Value.Range_arr _ | Value.Rope_str _ -> to_date cfg (Value.view v)
+  | Value.Rope_str _ -> to_date cfg (Value.view v)
 
 let to_time cfg v =
   match v with
@@ -314,7 +315,7 @@ let rec json_of_value v =
   match v with
   | Value.Null -> Some Json.J_null
   | Value.Bool b -> Some (Json.J_bool b)
-  | Value.Int i -> Some (Json.J_num (Int64.to_string i))
+  | Value.Int i -> Some (Json.J_num (Digits.int64_to_string i))
   | Value.Dec d -> Some (Json.J_num (Decimal.to_string d))
   | Value.Float f ->
     if Float.is_nan f || Float.abs f = Float.infinity then None
@@ -540,10 +541,12 @@ let rec to_array cfg elt_ty v =
 and dispatch cfg v target =
   (* Compact head: identity casts keep the compact representation (the
      boxed path would return the very same bytes/elements — a rope IS a
-     TEXT value, a range IS an ARRAY of in-range BIGINTs); every other
-     target sees the boxed spelling, so the per-target converters below
-     never meet a compact value and their verdicts cannot depend on the
-     representation. *)
+     TEXT value, a range IS an ARRAY of in-range BIGINTs). Every other
+     target sees a rope's flat spelling. A range is spilled only for the
+     targets that read its elements (array element casts, JSON); the
+     rest either render it ({!Value.to_display} reads first/step/length
+     in place) or reject it by its type name, which is ARRAY either
+     way — so no verdict can depend on the representation. *)
   match v with
   | Value.Rope_str r ->
     (match target with
@@ -555,8 +558,11 @@ and dispatch cfg v target =
   | Value.Range_arr _ ->
     (match target with
      | Ast.T_array_t Ast.T_bigint -> Ok v
-     | _ -> dispatch cfg (Value.view v) target)
-  | _ ->
+     | Ast.T_array_t _ | Ast.T_json -> dispatch cfg (Value.view v) target
+     | _ -> convert cfg v target)
+  | _ -> convert cfg v target
+
+and convert cfg v target =
   match target with
   | Ast.T_bool -> to_bool cfg v
   | Ast.T_smallint | Ast.T_int | Ast.T_bigint -> to_int_target cfg target v
@@ -586,14 +592,100 @@ and dispatch cfg v target =
      | _ -> Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to ROW")))
   | Ast.T_named (name, args) -> named_type cfg name args v
 
+(* ----- coverage points -----
+
+   Every cast records a "cast/<source>-><target>/<outcome>" point — over
+   two casts per generated case. The spellings for the parameterless
+   targets are built once here; only parametric targets (DECIMAL(p,s),
+   CHAR(n), VARCHAR(n), ARRAY/MAP, named types) format per call. *)
+
+let all_tys =
+  Value.
+    [| Ty_null; Ty_bool; Ty_int; Ty_dec; Ty_float; Ty_str; Ty_blob; Ty_date;
+       Ty_time; Ty_datetime; Ty_interval; Ty_json; Ty_array; Ty_map; Ty_row;
+       Ty_inet; Ty_uuid; Ty_geometry; Ty_xml |]
+
+let ty_index = function
+  | Value.Ty_null -> 0
+  | Value.Ty_bool -> 1
+  | Value.Ty_int -> 2
+  | Value.Ty_dec -> 3
+  | Value.Ty_float -> 4
+  | Value.Ty_str -> 5
+  | Value.Ty_blob -> 6
+  | Value.Ty_date -> 7
+  | Value.Ty_time -> 8
+  | Value.Ty_datetime -> 9
+  | Value.Ty_interval -> 10
+  | Value.Ty_json -> 11
+  | Value.Ty_array -> 12
+  | Value.Ty_map -> 13
+  | Value.Ty_row -> 14
+  | Value.Ty_inet -> 15
+  | Value.Ty_uuid -> 16
+  | Value.Ty_geometry -> 17
+  | Value.Ty_xml -> 18
+
+let plain_targets =
+  Ast.
+    [| T_bool; T_smallint; T_int; T_bigint; T_unsigned; T_decimal None;
+       T_float; T_double; T_char None; T_varchar None; T_text; T_blob; T_date;
+       T_time; T_datetime; T_interval_t; T_json; T_inet; T_uuid; T_geometry;
+       T_xml; T_row_t |]
+
+(* index into [plain_targets], or -1 for a parametric target *)
+let plain_target_index = function
+  | Ast.T_bool -> 0
+  | Ast.T_smallint -> 1
+  | Ast.T_int -> 2
+  | Ast.T_bigint -> 3
+  | Ast.T_unsigned -> 4
+  | Ast.T_decimal None -> 5
+  | Ast.T_float -> 6
+  | Ast.T_double -> 7
+  | Ast.T_char None -> 8
+  | Ast.T_varchar None -> 9
+  | Ast.T_text -> 10
+  | Ast.T_blob -> 11
+  | Ast.T_date -> 12
+  | Ast.T_time -> 13
+  | Ast.T_datetime -> 14
+  | Ast.T_interval_t -> 15
+  | Ast.T_json -> 16
+  | Ast.T_inet -> 17
+  | Ast.T_uuid -> 18
+  | Ast.T_geometry -> 19
+  | Ast.T_xml -> 20
+  | Ast.T_row_t -> 21
+  | Ast.T_decimal (Some _) | Ast.T_char (Some _) | Ast.T_varchar (Some _)
+  | Ast.T_array_t _ | Ast.T_map_t _ | Ast.T_named _ ->
+    -1
+
+let format_point ty target ok =
+  Printf.sprintf "cast/%s->%s/%s" (Value.ty_name ty) (Sql_pp.type_name target)
+    (if ok then "ok" else "err")
+
+let n_targets = Array.length plain_targets
+
+(* [(ty * n_targets + target) * 2 + (0 ok | 1 err)] *)
+let point_table =
+  Array.init
+    (Array.length all_tys * n_targets * 2)
+    (fun k ->
+      format_point all_tys.(k / 2 / n_targets)
+        plain_targets.(k / 2 mod n_targets)
+        (k mod 2 = 0))
+
+let coverage_point ty target ok =
+  match plain_target_index target with
+  | -1 -> format_point ty target ok
+  | j -> point_table.((((ty_index ty * n_targets) + j) * 2) + if ok then 0 else 1)
+
 let cast ?cov cfg v target =
   let result = if Value.is_null v then Ok Value.Null else dispatch cfg v target in
   (match cov with
    | Some c ->
-     let outcome = match result with Ok _ -> "ok" | Error _ -> "err" in
-     Coverage.hit c
-       (Printf.sprintf "cast/%s->%s/%s"
-          (Value.ty_name (Value.type_of v))
-          (Sql_pp.type_name target) outcome)
+     let ok = match result with Ok _ -> true | Error _ -> false in
+     Coverage.hit c (coverage_point (Value.type_of v) target ok)
    | None -> ());
   result

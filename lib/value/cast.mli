@@ -36,5 +36,10 @@ val cast :
 
 val error_to_string : error -> string
 
+val coverage_point : Value.ty -> Sqlfun_ast.Ast.type_name -> bool -> string
+(** [coverage_point src target ok] is the point {!cast} records:
+    ["cast/<src>-><target>/ok"] or [".../err"]. Precomputed for every
+    parameterless target, formatted per call for parametric ones. *)
+
 val ty_of_type_name : Sqlfun_ast.Ast.type_name -> Value.ty
 (** The runtime tag a successful cast to this type yields. *)

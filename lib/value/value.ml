@@ -311,17 +311,33 @@ let float_display f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
+(* ----- rendering -----
+
+   Rendering is per element: a RANGE(99999) argument inserted into a
+   TEXT column renders 99,999 integers, so containers write into one
+   [Buffer] and integers go through {!Digits} instead of
+   [Int64.to_string]'s format interpreter. A [Range_arr] renders from
+   first/step/length without spilling. *)
+
+let hex_digits = "0123456789ABCDEF"
+
 let blob_display b =
-  let buf = Buffer.create (2 + (2 * String.length b)) in
-  Buffer.add_string buf "0x";
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c))) b;
-  Buffer.contents buf
+  let n = String.length b in
+  let out = Bytes.create (2 + (2 * n)) in
+  Bytes.unsafe_set out 0 '0';
+  Bytes.unsafe_set out 1 'x';
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get b i) in
+    Bytes.unsafe_set out (2 + (2 * i)) hex_digits.[c lsr 4];
+    Bytes.unsafe_set out (3 + (2 * i)) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string out
 
 let rec to_display = function
   | Null -> "NULL"
   | Bool true -> "TRUE"
   | Bool false -> "FALSE"
-  | Int i -> Int64.to_string i
+  | Int i -> Digits.int64_to_string i
   | Dec d -> Decimal.to_string d
   | Float f -> float_display f
   | Str s -> s
@@ -331,20 +347,55 @@ let rec to_display = function
   | Time t -> Calendar.time_to_string t
   | Datetime dt -> Calendar.datetime_to_string dt
   | Interval { amount; unit_ } ->
-    Printf.sprintf "INTERVAL %Ld %s" amount (Calendar.unit_to_string unit_)
+    String.concat ""
+      [ "INTERVAL "; Digits.int64_to_string amount; " ";
+        Calendar.unit_to_string unit_ ]
   | Json j -> Json.to_string j
-  | Arr vs -> "[" ^ String.concat ", " (List.map to_display vs) ^ "]"
-  | Range_arr r -> to_display (Arr (range_spill r))
-  | Map kvs ->
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> to_display k ^ ": " ^ to_display v) kvs)
-    ^ "}"
-  | Row vs -> "(" ^ String.concat ", " (List.map to_display vs) ^ ")"
+  | (Arr _ | Range_arr _ | Map _ | Row _) as v ->
+    let buf = Buffer.create 64 in
+    add_display buf v;
+    Buffer.contents buf
   | Inet a -> Inet.to_string a
   | Uuid u -> u
   | Geom g -> Geometry.to_wkt g
   | Xml nodes -> Xml_doc.to_string nodes
+
+and add_display buf = function
+  | Int i -> Digits.add_int64 buf i
+  | Arr vs ->
+    Buffer.add_char buf '[';
+    add_seq buf vs;
+    Buffer.add_char buf ']'
+  | Range_arr r ->
+    Buffer.add_char buf '[';
+    for k = 0 to r.rg_len - 1 do
+      if k > 0 then Buffer.add_string buf ", ";
+      Digits.add_int64 buf
+        (Int64.add r.rg_first (Int64.mul r.rg_step (Int64.of_int k)))
+    done;
+    Buffer.add_char buf ']'
+  | Map kvs ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun k (key, v) ->
+        if k > 0 then Buffer.add_string buf ", ";
+        add_display buf key;
+        Buffer.add_string buf ": ";
+        add_display buf v)
+      kvs;
+    Buffer.add_char buf '}'
+  | Row vs ->
+    Buffer.add_char buf '(';
+    add_seq buf vs;
+    Buffer.add_char buf ')'
+  | v -> Buffer.add_string buf (to_display v)
+
+and add_seq buf vs =
+  List.iteri
+    (fun k v ->
+      if k > 0 then Buffer.add_string buf ", ";
+      add_display buf v)
+    vs
 
 (* Numeric coercion tower: Int < Dec < Float. *)
 let as_dec = function

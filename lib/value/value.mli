@@ -151,7 +151,8 @@ val arr_length : t -> int option
 (** Array length — O(1) on [Range_arr], O(n) on [Arr]. *)
 
 val to_display : t -> string
-(** Result-set rendering (what a client would print). *)
+(** Result-set rendering (what a client would print). A range renders
+    from first/step/length without spilling; a rope flattens (cached). *)
 
 val compare_values : t -> t -> int option
 (** SQL comparison with numeric coercion across [Int]/[Dec]/[Float];
