@@ -5,7 +5,6 @@ module Telemetry = Sqlfun_telemetry.Telemetry
 module Profile = Sqlfun_telemetry.Profile
 module Timeseries = Sqlfun_telemetry.Timeseries
 module Pool = Sqlfun_parallel.Pool
-module Chunk_queue = Sqlfun_parallel.Chunk_queue
 module Progress = Sqlfun_parallel.Progress
 module Value = Sqlfun_value.Value
 
@@ -284,32 +283,31 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
 
 (* ----- the sharded path -----
 
-   The main thread is the producer: it enumerates exactly the stream a
-   sequential run would execute (seed replay first, then every pattern
-   in paper order under the same per-pattern budgets) and labels each
-   work item with its 1-based index in that stream. Item [n] belongs to
-   shard [(n - 1) mod shards]; shard [s] is owned by worker domain
-   [s mod jobs], and every worker feeds from its own chunked queue so a
-   slow shard never blocks the dispatch of another worker's cases.
+   There is no producer: every worker domain enumerates, by itself,
+   exactly the stream a sequential run would execute (seed replay
+   first, then every pattern in paper order under the same budget
+   shares) — the streams are pure, so each worker sees the identical
+   enumeration — and numbers each work item with its 1-based index in
+   that stream. Item [n] belongs to shard [(n - 1) mod shards]; shard
+   [s] is owned by worker [s mod jobs], and a worker executes only the
+   items of its own shards, stepping over the rest. A family batch is
+   cut into per-shard member slices, each paired with its members'
+   global case numbers, so every shard keeps the one-probe-per-batch
+   economics. The main domain only collects the seeds, runs the pool
+   and merges.
 
-   Each shard runs a private engine/detector/coverage/telemetry —
-   engines are mutable and crash-restart, so nothing is shared between
-   domains. Because a shard receives its sub-stream in increasing
-   global order, merging is pure bookkeeping afterwards: counters and
-   histograms add, coverage points union, and the New-vs-Dup split is
-   re-derived by globally ordering crash records on case number
-   ([Detector.merge_bugs]). *)
+   Each worker times its own enumeration: its seed loop runs inside a
+   "seed-replay" span and generation inside "generate" spans, both on
+   the collector of its first owned shard (shard [w]), so the merged
+   "generate" stage counts [jobs] times the sequential calls.
 
-type shard_work =
-  | Seed_stmt of Sqlfun_ast.Ast.stmt
-  | Gen_scenario of Patterns.scenario
-      (* one scenario is one atomic work item: its prerequisites and
-         probe never split across shards *)
-  | Gen_batch of Patterns.batch * int array
-      (* one shard's slice of a family batch, paired with each member's
-         global case number: member [i] of the slice is global case
-         [nums.(i)], so merged bug records and verdict events carry the
-         numbers a sequential run would have produced *)
+   Each shard runs a private engine/detector/coverage/telemetry, and
+   each worker a private registry ([Registry.resolve] memoises into
+   it) — nothing mutable is shared between domains. Because a shard
+   executes its sub-stream in increasing global order, merging is pure
+   bookkeeping afterwards: counters and histograms add, coverage points
+   union, and the New-vs-Dup split is re-derived by globally ordering
+   crash records on case number ([Detector.merge_bugs]). *)
 
 let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     ?(patterns = Pattern_id.all) ?(memo = true) ?(compile = true)
@@ -339,145 +337,111 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     in
     let shard_covs = Array.init shards (fun _ -> Coverage.create ()) in
     let shard_tels = Array.init shards (fun _ -> Telemetry.create ()) in
-    let queues =
-      Array.init jobs (fun _ ->
-          Chunk_queue.create ~chunk_size:128 ~max_chunks:32 ())
-    in
     let worker w () =
       (* engines are armed inside the worker domain, so even startup
-         cost parallelises; detector [s] only ever runs on this domain.
-         Compact hit/spill cells are domain-local, so a before/after
-         delta taken inside the worker attributes exactly this worker's
-         compact activity; it is credited to the worker's first owned
-         shard's collector (totals merge shard-wise afterwards). *)
+         cost parallelises. Compact hit/spill cells are domain-local, so
+         a before/after delta taken inside the worker attributes exactly
+         this worker's compact activity; it is credited to the worker's
+         first owned shard's collector (totals merge shard-wise). *)
       let compact0 = Value.Compact.read () in
-      let dets =
-        List.filter (fun s -> s mod jobs = w) (List.init shards Fun.id)
-        |> List.map (fun s ->
-               let det =
-                 Detector.create ~cov:shard_covs.(s)
-                   ~telemetry:shard_tels.(s) ~profile:shard_profiles.(s)
-                   ~memo ~compile ~compact prof
-               in
-               let recorder =
-                 Option.map
-                   (fun cfg ->
-                     Timeseries.recorder cfg ~shard:s
-                       (probe_of det shard_tels.(s) progress))
-                   timeseries
-               in
-               (s, det, recorder))
-      in
-      let rec drain () =
-        match Chunk_queue.pop_chunk queues.(w) with
-        | None ->
-          List.iter
-            (fun (_, _, recorder) -> Option.iter Timeseries.finalize recorder)
-            dets;
-          (match dets with
-           | (s, _, _) :: _ ->
-             let d = Value.Compact.since compact0 in
-             Telemetry.compact_add shard_tels.(s)
-               ~hits:d.Value.Compact.hits ~spills:d.Value.Compact.spills
-           | [] -> ());
-          List.map (fun (s, det, _) -> (s, det)) dets
-        | Some chunk ->
-          Array.iter
-            (fun (case_number, s, work) ->
-              let _, det, recorder =
-                List.find (fun (s', _, _) -> s' = s) dets
+      (* [Registry.resolve] memoises into its registry, so no registry
+         is shared between domains *)
+      let registry = Dialect.registry prof in
+      (* shard [w] is this worker's first owned shard *)
+      let wtel = shard_tels.(w) in
+      (* [owned.(s)] is [Some (detector, recorder)] iff this worker owns
+         shard [s] *)
+      let owned =
+        Array.init shards (fun s ->
+            if s mod jobs <> w then None
+            else begin
+              let det =
+                Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
+                  ~profile:shard_profiles.(s) ~memo ~compile ~compact prof
               in
-              match work with
-              | Seed_stmt stmt ->
-                ignore (Detector.run_stmt det ~case_number stmt);
-                Progress.tick progress s;
-                Option.iter Timeseries.tick recorder
-              | Gen_scenario sc ->
-                ignore (Detector.run_scenario det ~case_number sc);
-                Progress.tick progress s;
-                Option.iter Timeseries.tick recorder
-              | Gen_batch (b, nums) ->
-                Detector.run_batch det ~case_numbers:nums b;
-                for _ = 1 to Array.length nums do
-                  Progress.tick progress s;
-                  Option.iter Timeseries.tick recorder
-                done)
-            chunk;
-          drain ()
+              let recorder =
+                Option.map
+                  (fun cfg ->
+                    Timeseries.recorder cfg ~shard:s
+                      (probe_of det shard_tels.(s) progress))
+                  timeseries
+              in
+              Some (det, recorder)
+            end)
       in
-      drain ()
+      let tick s recorder =
+        Progress.tick progress s;
+        Option.iter Timeseries.tick recorder
+      in
+      (* global 1-based case counter: [!last] is the number of the most
+         recently enumerated case *)
+      let last = ref 0 in
+      let run_one f =
+        incr last;
+        let s = (!last - 1) mod shards in
+        match owned.(s) with
+        | Some (det, recorder) ->
+          f det !last;
+          tick s recorder
+        | None -> ()
+      in
+      (* members [first], [first + shards], … of a family starting after
+         case [n0] land on shard [s] *)
+      let run_slices (b : Patterns.batch) =
+        let n0 = !last and m = Patterns.batch_size b in
+        last := n0 + m;
+        Array.iteri
+          (fun s slot ->
+            match slot with
+            | None -> ()
+            | Some (det, recorder) ->
+              let first = (s - (n0 mod shards) + shards) mod shards in
+              if first < m then begin
+                let count = ((m - first - 1) / shards) + 1 in
+                let vecs =
+                  List.filteri
+                    (fun i _ -> i >= first && (i - first) mod shards = 0)
+                    b.Patterns.b_vecs
+                in
+                Detector.run_batch det
+                  ~case_numbers:
+                    (Array.init count (fun k -> n0 + first + (k * shards) + 1))
+                  { b with Patterns.b_vecs = vecs };
+                for _ = 1 to count do
+                  tick s recorder
+                done
+              end)
+          owned
+      in
+      Telemetry.with_span wtel ~dialect "seed-replay" (fun () ->
+          List.iter
+            (fun (seed : Collector.seed) ->
+              run_one (fun det case_number ->
+                  ignore (Detector.run_stmt det ~case_number seed.Collector.stmt)))
+            seeds);
+      emit_budgeted ~budget
+        ~streams:
+          (work_streams ~tel:wtel ~registry ~seeds ~patterns ~stateful ~batch)
+        ~emit:(function
+          | Patterns.Single sc ->
+            run_one (fun det case_number ->
+                ignore (Detector.run_scenario det ~case_number sc))
+          | Patterns.Batched b -> run_slices b);
+      Array.iter
+        (Option.iter (fun (_, recorder) ->
+             Option.iter Timeseries.finalize recorder))
+        owned;
+      let d = Value.Compact.since compact0 in
+      Telemetry.compact_add wtel ~hits:d.Value.Compact.hits
+        ~spills:d.Value.Compact.spills;
+      Array.map (Option.map fst) owned
     in
     let per_worker =
-      Pool.with_pool jobs @@ fun pool ->
-      let handles = List.init jobs (fun w -> Pool.submit pool (worker w)) in
-      let next = ref 0 in
-      let dispatch work =
-        incr next;
-        let n = !next in
-        let s = (n - 1) mod shards in
-        Chunk_queue.push queues.(s mod jobs) (n, s, work)
-      in
-      (* a family batch reserves one global number per member and is
-         split by shard exactly as the per-case dispatch would have
-         split its members: member at global index [n] goes to shard
-         [(n - 1) mod shards]. Each shard receives its slice as one
-         queue item (pushed while [next] is frozen past the family, so
-         per-shard FIFO order equals global order), keeping the
-         one-probe-per-batch economics on every shard. *)
-      let dispatch_batch (b : Patterns.batch) =
-        let m = Patterns.batch_size b in
-        let n0 = !next + 1 in
-        next := !next + m;
-        if shards = 1 then
-          Chunk_queue.push queues.(0)
-            (n0, 0, Gen_batch (b, Array.init m (fun i -> n0 + i)))
-        else begin
-          let per_shard = Array.make shards [] in
-          List.iteri
-            (fun i vec ->
-              let n = n0 + i in
-              let s = (n - 1) mod shards in
-              per_shard.(s) <- (vec, n) :: per_shard.(s))
-            b.Patterns.b_vecs;
-          Array.iteri
-            (fun s members ->
-              match List.rev members with
-              | [] -> ()
-              | (_, first_n) :: _ as members ->
-                let sub = { b with Patterns.b_vecs = List.map fst members } in
-                let nums = Array.of_list (List.map snd members) in
-                Chunk_queue.push
-                  queues.(s mod jobs)
-                  (first_n, s, Gen_batch (sub, nums)))
-            per_shard
-        end
-      in
-      (* the queues must close even when generation raises, or the
-         workers (and then [shutdown]) would block forever *)
-      Fun.protect
-        ~finally:(fun () -> Array.iter Chunk_queue.close queues)
-        (fun () ->
-          Telemetry.with_span tel ~dialect "seed-replay" (fun () ->
-              List.iter
-                (fun (seed : Collector.seed) ->
-                  dispatch (Seed_stmt seed.Collector.stmt))
-                seeds);
-          emit_budgeted ~budget
-            ~streams:
-              (work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch)
-            ~emit:(function
-              | Patterns.Single sc -> dispatch (Gen_scenario sc)
-              | Patterns.Batched b -> dispatch_batch b));
-      List.map Pool.await handles
+      Pool.with_pool jobs (fun pool ->
+          Pool.run pool (List.init jobs (fun w -> worker w)))
     in
-    let detectors = Array.make shards None in
-    List.iter
-      (List.iter (fun (s, det) -> detectors.(s) <- Some det))
-      per_worker;
     let detectors =
-      Array.map
-        (function Some d -> d | None -> assert false (* every shard owned *))
-        detectors
+      Array.init shards (fun s -> Option.get (List.nth per_worker (s mod jobs)).(s))
     in
     (registry, seeds, shard_covs, shard_tels, detectors)
   in

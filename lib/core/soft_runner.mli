@@ -117,7 +117,7 @@ val fuzz :
     reported on the collector
     ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
     family batch is split by member across shards along the same
-    round-robin the per-case dispatch uses, so every shard keeps the
+    round-robin single cases follow, so every shard keeps the
     one-probe-per-batch economics. Compact construction/spill
     counts are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per campaign
@@ -130,7 +130,14 @@ val fuzz :
     independent engine instances; [jobs] (default [shards], clamped to
     it) is the number of worker domains executing them. [shards = 1]
     is exactly the sequential path. Results are deterministic in
-    [shards] and [on jobs]: only timings change. With [shards > 1] a
+    [shards] and [jobs]: only timings change. There is no producer
+    domain: every worker enumerates the whole case stream itself (seed
+    replay, then the budgeted pattern streams) and executes only the
+    items of the shards it owns. Each worker times that enumeration on
+    its first owned shard's collector — its seed loop as one
+    ["seed-replay"] span, its generation as ["generate"] spans — so
+    the merged ["generate"] stage counts [jobs] times the sequential
+    calls. With [shards > 1] a
     [--trace]-style event sink on [telemetry] sees campaign-level
     spans but not per-case events (shard collectors are merged as
     aggregates).

@@ -1,4 +1,4 @@
-(** A fixed-size pool of OCaml 5 domains fed by a chunked work queue.
+(** A fixed-size pool of OCaml 5 domains fed by one FIFO job queue.
 
     Domains are expensive to spawn (each carries a minor heap and takes
     part in every stop-the-world section), so a campaign creates one
@@ -6,10 +6,10 @@
     per task. Jobs are closures; results come back through typed
     handles, so one pool can carry jobs of different result types.
 
-    The pool makes no fairness or ordering promise between jobs — any
-    idle worker takes the next chunk of jobs. Determinism of the fuzzing
-    campaigns is established one level up, by the shard/merge protocol
-    in [Soft_runner], never by scheduling. *)
+    Idle workers take jobs in submission order, but the pool makes no
+    promise about the order in which jobs on different workers finish.
+    Determinism of the fuzzing campaigns is established one level up,
+    by the shard/merge protocol in [Soft_runner], never by scheduling. *)
 
 type t
 
@@ -27,7 +27,8 @@ type 'a handle
 
 val submit : t -> (unit -> 'a) -> 'a handle
 (** Enqueues a job; returns immediately. The job runs on some worker
-    domain; exceptions it raises are captured into the handle. *)
+    domain; exceptions it raises are captured into the handle. Raises
+    [Invalid_argument] after {!shutdown}. *)
 
 val await : 'a handle -> 'a
 (** Blocks until the job finishes; re-raises (with its backtrace) any

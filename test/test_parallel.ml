@@ -4,11 +4,10 @@
    4 worker domains must produce verdict counters, bug lists (order and
    case numbers included) and FP-signature sets bit-identical to the
    sequential run. Everything above it tests the pieces that property is
-   assembled from — the pool, the chunked queue, the budget split, and
+   assembled from — the pool and its job queue, the budget split, and
    the merge algebra on coverage and telemetry. *)
 
 module Pool = Sqlfun_parallel.Pool
-module Chunk_queue = Sqlfun_parallel.Chunk_queue
 module Coverage = Sqlfun_coverage.Coverage
 module Telemetry = Sqlfun_telemetry.Telemetry
 open Sqlfun_dialects
@@ -47,40 +46,38 @@ let test_pool_parallel_sum () =
         (100 * 99 / 2) (Atomic.get counter))
     [ 1; 3; 8 ]
 
-(* ----- Chunk_queue ----- *)
-
-let test_queue_preserves_order () =
-  let q = Chunk_queue.create ~chunk_size:7 ~max_chunks:4 () in
+let test_pool_fifo () =
+  (* a lone worker takes jobs strictly in submission order *)
   let n = 1000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let out = ref [] in
-        let rec drain () =
-          match Chunk_queue.pop_chunk q with
-          | None -> List.rev !out
-          | Some chunk ->
-            Array.iter (fun x -> out := x :: !out) chunk;
-            drain ()
-        in
-        drain ())
-  in
-  for i = 1 to n do
-    Chunk_queue.push q i
-  done;
-  Chunk_queue.close q;
-  Alcotest.(check (list int)) "FIFO across chunk boundaries"
+  let order = ref [] in
+  Pool.with_pool 1 (fun pool ->
+      for i = 1 to n do
+        ignore (Pool.submit pool (fun () -> order := i :: !order))
+      done);
+  Alcotest.(check (list int)) "jobs picked up FIFO"
     (List.init n (fun i -> i + 1))
-    (Domain.join consumer)
+    (List.rev !order)
 
-let test_queue_close_flushes_partial_chunk () =
-  let q = Chunk_queue.create ~chunk_size:64 ~max_chunks:2 () in
-  Chunk_queue.push q "only";
-  Chunk_queue.close q;
-  (match Chunk_queue.pop_chunk q with
-   | Some [| "only" |] -> ()
-   | Some _ -> Alcotest.fail "wrong chunk contents"
-   | None -> Alcotest.fail "partial chunk lost on close");
-  Alcotest.(check bool) "drained" true (Chunk_queue.pop_chunk q = None)
+let test_pool_shutdown_runs_queued_jobs () =
+  (* the first job keeps the only worker busy, so the rest are still
+     queued when [shutdown] closes the queue; none may be dropped *)
+  let ran = Atomic.make 0 in
+  let pool = Pool.create 1 in
+  ignore
+    (Pool.submit pool (fun () ->
+         let t0 = Sys.time () in
+         while Sys.time () -. t0 < 0.02 do () done;
+         Atomic.incr ran));
+  for _ = 1 to 99 do
+    ignore (Pool.submit pool (fun () -> Atomic.incr ran))
+  done;
+  Pool.shutdown pool;
+  Alcotest.(check int) "every job submitted before shutdown ran" 100
+    (Atomic.get ran);
+  Pool.shutdown pool;
+  Alcotest.check_raises "submit after shutdown"
+    (Invalid_argument "Pool.submit: pool is shut down")
+    (fun () -> ignore (Pool.submit pool (fun () -> ())))
 
 (* ----- split_budget (satellite a) ----- *)
 
@@ -271,7 +268,7 @@ let verdict_key tel =
     (Telemetry.verdict_rows tel)
 
 let test_shards_one_equals_sequential () =
-  (* shards=1 routes through the queue/worker/merge machinery; it must
+  (* shards=1 routes through the worker/merge machinery; it must
      agree with the plain sequential path field for field *)
   let prof = Dialect.find_exn "mariadb" in
   let seq = Soft.Soft_runner.fuzz ~budget:1500 prof in
@@ -314,7 +311,7 @@ let test_sharded_campaign_deterministic () =
     = verdict_key par.Soft.Soft_runner.telemetry)
 
 let test_more_shards_than_jobs () =
-  (* jobs < shards exercises the multi-shard-per-worker queues *)
+  (* jobs < shards exercises workers that own several shards *)
   let prof = Dialect.find_exn "postgresql" in
   let seq = Soft.Soft_runner.fuzz ~budget:1200 prof in
   let par = Soft.Soft_runner.fuzz ~budget:1200 ~shards:7 ~jobs:2 prof in
@@ -446,6 +443,76 @@ let test_fuzz_all_parallel_deterministic () =
         (result_key a = result_key b))
     seq par
 
+exception Snapshot_failed
+
+let test_raising_worker_does_not_hang () =
+  (* every worker raises from its first snapshot; the campaign must
+     re-raise that exception instead of waiting on a dead worker *)
+  let cfg =
+    {
+      Sqlfun_telemetry.Timeseries.every_cases = 1;
+      every_ms = 0;
+      emit = (fun _ -> raise Snapshot_failed);
+    }
+  in
+  Alcotest.check_raises "fuzz re-raises the worker's exception"
+    Snapshot_failed (fun () ->
+      ignore
+        (Soft.Soft_runner.fuzz ~budget:200 ~timeseries:cfg ~shards:2 ~jobs:2
+           (Dialect.find_exn "mariadb")))
+
+let test_budget_cuts_mid_family () =
+  (* small budgets cut the batched families part-way (duckdb's P1.1 is
+     one 41-member family and gets a ceil(b/11) share of an 11-stream
+     budget), so shards see slices of cut batches; duckdb finds bugs in
+     batched families (P1.3, P1.4) within such budgets. Every
+     deterministic output must still equal the sequential run's.
+     Coverage hit counts differ only by the arming hits of the extra
+     shard engines. *)
+  let prof = Dialect.find_exn "duckdb" in
+  let registry = Dialect.registry prof in
+  let seeds =
+    Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
+  in
+  let family =
+    match Seq.uncons (Soft.Patterns.generate_work ~registry ~seeds
+                        Sqlfun_fault.Pattern_id.P1_1) with
+    | Some (Soft.Patterns.Batched b, _) -> Soft.Patterns.batch_size b
+    | _ -> Alcotest.fail "P1.1 does not start with a family batch"
+  in
+  let arming = Soft.Detector.arming_coverage (Soft.Detector.create prof) in
+  let sequential = Hashtbl.create 16 in
+  let seq_run budget =
+    match Hashtbl.find_opt sequential budget with
+    | Some r -> r
+    | None ->
+      let r = Soft.Soft_runner.fuzz ~budget prof in
+      Hashtbl.add sequential budget r;
+      r
+  in
+  let key ~shards (r : Soft.Soft_runner.result) =
+    let hits =
+      List.map
+        (fun (p, n) ->
+          let armed = Option.value ~default:0 (List.assoc_opt p arming) in
+          (p, n - ((shards - 1) * armed)))
+        (Coverage.points r.Soft.Soft_runner.coverage)
+    in
+    ( List.map bug_key r.Soft.Soft_runner.bugs,
+      verdict_key r.Soft.Soft_runner.telemetry,
+      r.Soft.Soft_runner.fp_signatures,
+      hits )
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:30 ~name:"budget cut mid-family"
+       QCheck.(
+         triple (int_range 12 (11 * (family - 1))) (oneofl [ 2; 3; 5 ])
+           (oneofl [ 1; 2; 3 ]))
+       (fun (budget, shards, jobs) ->
+         assert (List.hd (Soft.Soft_runner.split_budget budget 11) < family);
+         key ~shards:1 (seq_run budget)
+         = key ~shards (Soft.Soft_runner.fuzz ~budget ~shards ~jobs prof)))
+
 let suite =
   ( "parallel",
     [
@@ -454,10 +521,9 @@ let suite =
         test_pool_propagates_exceptions;
       Alcotest.test_case "pool drains at any job count" `Quick
         test_pool_parallel_sum;
-      Alcotest.test_case "chunk queue preserves order" `Quick
-        test_queue_preserves_order;
-      Alcotest.test_case "chunk queue close flushes" `Quick
-        test_queue_close_flushes_partial_chunk;
+      Alcotest.test_case "pool picks up jobs FIFO" `Quick test_pool_fifo;
+      Alcotest.test_case "pool shutdown runs queued jobs" `Quick
+        test_pool_shutdown_runs_queued_jobs;
       Alcotest.test_case "split_budget exact" `Quick test_split_budget_exact;
       Alcotest.test_case "split_budget qcheck" `Quick test_split_budget_qcheck;
       Alcotest.test_case "budget executed exactly" `Slow
@@ -483,4 +549,8 @@ let suite =
         test_timeseries_final_snapshot_shard_invariant;
       Alcotest.test_case "parallel fuzz_all deterministic" `Slow
         test_fuzz_all_parallel_deterministic;
+      Alcotest.test_case "raising worker does not hang" `Quick
+        test_raising_worker_does_not_hang;
+      Alcotest.test_case "budget cuts mid-family" `Slow
+        test_budget_cuts_mid_family;
     ] )
