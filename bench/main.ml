@@ -48,14 +48,13 @@ type parallel_run = {
 
 type campaign_timing = {
   wall_s_sequential : float;
-      (* the observatory baseline: memoization on, plus timeseries
-         recording and snapshot bookkeeping *)
-  wall_s_memo : float;
-      (* a fresh plain memo-on sweep, timed like the memo-off one — the
-         honest numerator-free leg of the memo ratio (the observatory
-         baseline carries instrumentation the ~memo:false run doesn't) *)
-  wall_s_nomemo : float;      (* same sequential sweep, ~memo:false *)
-  memo_deterministic : bool;
+      (* the observatory baseline: timeseries recording and snapshot
+         bookkeeping on *)
+  wall_s_plain : float;
+      (* a fresh plain sweep without the observatory's instrumentation
+         (no shared collector, no recorders) — the baseline of the
+         compact and batch ratios *)
+  plain_deterministic : bool;
   wall_s_nocompact : float;   (* same sequential sweep, ~compact:false *)
   compact_deterministic : bool;
   wall_s_batch : float;
@@ -95,15 +94,12 @@ type observatory = {
   obs_curve : (int * int) list;  (* (cases, branches), chronological *)
 }
 
-(* Up to three full runs of the exhaustive campaign: the sequential
-   baseline with verdict memoization on (the default pipeline; its stage
-   timings feed the trajectory artifact, as before), the same sweep with
-   [~memo:false] (every case pays the engine round-trip), and — on
-   multi-core hosts only — a multi-domain run at jobs = 4. The memo-off
-   and parallel runs are checked field-for-field against the baseline —
-   a speedup is only worth reporting if the answers agree. The memo
-   ratio does not depend on cores, only on how much of the case stream
-   repeats.
+(* The full runs of the exhaustive campaign: the instrumented
+   sequential baseline (its stage timings feed the trajectory artifact,
+   as before), plain, compact-off, batched and stateful legs, and — on
+   multi-core hosts only — a multi-domain run at jobs = 4. Every leg is
+   checked field-for-field against the baseline — a speedup is only
+   worth reporting if the answers agree.
 
    The baseline run doubles as the observatory pass: each campaign
    carries a timeseries recorder whose periodic snapshots, offset by the
@@ -179,37 +175,29 @@ let campaign tel =
                  profiled engine time):\n\n"
     (100. *. Profile.attribution agg_profile);
   print_string (Profile.top_markdown agg_profile);
-  (* the two plain legs are timed min-of-two: this host's wall-clock
-     noise (±15% run to run) is larger than the memo-on/memo-off gap,
-     and the minimum of two interleaved runs is the standard symmetric
-     estimator for "what the sweep costs when the machine isn't busy" *)
+  (* every timed leg below is min-of-two: this host's wall-clock noise
+     (±15% run to run) is larger than most of the ratios, and the
+     minimum of two runs is the standard symmetric estimator for "what
+     the sweep costs when the machine isn't busy" *)
   let timed_leg f =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let nomemo_results, nm1 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~memo:false ~stateful:false ~batch:false)
-  in
-  (* a plain memo-on sweep under the same conditions as the memo-off
-     one (no shared collector, no timeseries recorders), so the memo
-     ratio compares two like-for-like runs instead of reusing the
+  (* a plain sweep under the same conditions as the compact-off and
+     batched legs (no shared collector, no timeseries recorders), so
+     their ratios compare like-for-like runs instead of reusing the
      instrumented observatory baseline *)
-  let memo_results, m1 =
+  let plain_results, p1 =
     timed_leg (fun () ->
         Soft.Soft_runner.fuzz_all ~stateful:false ~batch:false ())
   in
-  let nomemo_results2, nm2 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~memo:false ~stateful:false ~batch:false)
-  in
-  let memo_results2, m2 =
+  let plain_results2, p2 =
     timed_leg (fun () ->
         Soft.Soft_runner.fuzz_all ~stateful:false ~batch:false ())
   in
-  let nomemo_s = Float.min nm1 nm2 and memo_s = Float.min m1 m2 in
+  let plain_s = Float.min p1 p2 in
   let same_result (a : Soft.Soft_runner.result) (b : Soft.Soft_runner.result) =
     let bug_key (x : Soft.Detector.found_bug) =
       (x.Soft.Detector.spec.Fault.site, x.Soft.Detector.case_number)
@@ -223,24 +211,17 @@ let campaign tel =
     && List.map bug_key a.Soft.Soft_runner.bugs
        = List.map bug_key b.Soft.Soft_runner.bugs
   in
-  let memo_deterministic =
-    List.for_all2 same_result results nomemo_results
-    && List.for_all2 same_result results memo_results
-    && List.for_all2 same_result results nomemo_results2
-    && List.for_all2 same_result results memo_results2
+  let plain_deterministic =
+    List.for_all2 same_result results plain_results
+    && List.for_all2 same_result results plain_results2
   in
-  Printf.printf
-    "\nmemoization: %.1f s with, %.1f s without (%.2fx, %.1f%% hit rate, \
-     results %s)\n"
-    memo_s nomemo_s
-    (if memo_s > 0. then nomemo_s /. memo_s else 0.)
-    (100. *. Telemetry.memo_hit_rate tel)
-    (if memo_deterministic then "identical" else "DIVERGED");
+  Printf.printf "\nplain sweep: %.1f s (results %s)\n" plain_s
+    (if plain_deterministic then "identical" else "DIVERGED");
   (* the compact-representation before/after: a ~compact:false sweep
      materializes every RANGE array and REPEAT/pad string eagerly — the
-     pre-PR-8 pipeline. Timed min-of-two like the memo legs; its merged
-     attribution profile is the "before" half of the hottest-function
-     table in the telemetry artifact (the plain memo leg is "after"). *)
+     pre-PR-8 pipeline. Its merged attribution profile is the "before"
+     half of the hottest-function table in the telemetry artifact (the
+     plain leg is "after"). *)
   let nocompact_results, kc1 =
     timed_leg
       (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false ~batch:false)
@@ -264,15 +245,14 @@ let campaign tel =
   in
   Printf.printf
     "compact values: %.1f s with, %.1f s without (%.2fx, results %s)\n"
-    memo_s nocompact_s
-    (if memo_s > 0. then nocompact_s /. memo_s else 0.)
+    plain_s nocompact_s
+    (if plain_s > 0. then nocompact_s /. plain_s else 0.)
     (if compact_deterministic then "identical" else "DIVERGED");
   (* the batched before/after: every pinned leg above runs the
-     historical per-case pipeline, so the plain memo-on leg doubles as
-     the unbatched baseline under identical conditions (no shared
+     historical per-case pipeline, so the plain leg doubles as the
+     unbatched baseline under identical conditions (no shared
      collector, no recorders); the leg here is the same sweep with
-     slot-stream batching on — the default pipeline. Timed min-of-two
-     like the others. *)
+     slot-stream batching on — the default pipeline. *)
   let batch_results, bt1 =
     timed_leg (fun () -> Soft.Soft_runner.fuzz_all ~stateful:false ())
   in
@@ -280,7 +260,7 @@ let campaign tel =
     timed_leg (fun () -> Soft.Soft_runner.fuzz_all ~stateful:false ())
   in
   let batch_s = Float.min bt1 bt2 in
-  let nobatch_s = memo_s in
+  let nobatch_s = plain_s in
   let batch_deterministic =
     List.for_all2 same_result results batch_results
     && List.for_all2 same_result results batch_results2
@@ -373,9 +353,8 @@ let campaign tel =
   ( results,
     {
       wall_s_sequential = seq_s;
-      wall_s_memo = memo_s;
-      wall_s_nomemo = nomemo_s;
-      memo_deterministic;
+      wall_s_plain = plain_s;
+      plain_deterministic;
       wall_s_nocompact = nocompact_s;
       compact_deterministic;
       wall_s_batch = batch_s;
@@ -388,7 +367,7 @@ let campaign tel =
       stateful_stages;
       per_dialect = List.rev !dialect_walls;
       prof_boxed = merge_profiles nocompact_results;
-      prof_compact = merge_profiles memo_results;
+      prof_compact = merge_profiles plain_results;
       parallel;
       cores;
     },
@@ -646,7 +625,7 @@ let batch_member_costs () =
       Sqlfun_fault.Pattern_id.all
   in
   let each_batch f () =
-    let det = Soft.Detector.create ~memo:true ~compile:true prof in
+    let det = Soft.Detector.create ~compile:true prof in
     let n = ref 0 in
     List.iter
       (fun p ->
@@ -726,15 +705,6 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
                wall_s *. 1e9
                /. float_of_int r.Soft.Soft_runner.cases_executed) );
         ("cases_executed", Json.Int r.Soft.Soft_runner.cases_executed);
-        ("cases_memoized", Json.Int r.Soft.Soft_runner.cases_memoized);
-        (* from the campaign's own counts — [r.telemetry] is the shared
-           collector here, whose rate is the cross-dialect aggregate *)
-        ( "memo_hit_rate",
-          Json.Float
-            (if r.Soft.Soft_runner.cases_executed = 0 then 0.
-             else
-               float_of_int r.Soft.Soft_runner.cases_memoized
-               /. float_of_int r.Soft.Soft_runner.cases_executed) );
         ("bugs", Json.Int (List.length r.Soft.Soft_runner.bugs));
         ( "functions_triggered",
           Json.Int r.Soft.Soft_runner.functions_triggered );
@@ -750,24 +720,11 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
         ("kind", Json.Str "bench");
         ("campaigns", Json.Arr (List.map campaign_json results));
         ("wall_s_sequential", Json.Float timing.wall_s_sequential);
-        ("wall_s_memo", Json.Float timing.wall_s_memo);
-        ("wall_s_nomemo", Json.Float timing.wall_s_nomemo);
-        ( "memo_speedup",
-          Json.Float
-            (if timing.wall_s_memo > 0. then
-               timing.wall_s_nomemo /. timing.wall_s_memo
-             else 0.) );
+        ("wall_s_plain", Json.Float timing.wall_s_plain);
+        ("plain_deterministic", Json.Bool timing.plain_deterministic);
         ("ns_per_case_interp", Json.Float ns_per_case_interp);
         ("ns_per_case_compiled", Json.Float ns_per_case_compiled);
         ("ns_per_case_batched", Json.Float ns_per_case_batched);
-        ("memo_hit_rate", Json.Float (Telemetry.memo_hit_rate tel));
-        ( "cases_memoized",
-          Json.Int
-            (List.fold_left
-               (fun acc (r : Soft.Soft_runner.result) ->
-                 acc + r.Soft.Soft_runner.cases_memoized)
-               0 results) );
-        ("memo_deterministic", Json.Bool timing.memo_deterministic);
         ("cores", Json.Int timing.cores);
         ( "parallel_comparison",
           Json.Str
@@ -795,24 +752,24 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
         ("wall_s_nocompact", Json.Float timing.wall_s_nocompact);
         ( "compact_speedup",
           Json.Float
-            (if timing.wall_s_memo > 0. then
-               timing.wall_s_nocompact /. timing.wall_s_memo
+            (if timing.wall_s_plain > 0. then
+               timing.wall_s_nocompact /. timing.wall_s_plain
              else 0.) );
         ("compact_deterministic", Json.Bool timing.compact_deterministic);
-        (* the batched before/after: wall_s_nobatch is the plain memo-on
-           leg (every pinned leg runs the per-case pipeline, so it is
-           the like-for-like unbatched baseline). Only ~30% of the
+        (* the batched before/after: wall_s_nobatch is the plain leg
+           (every pinned leg runs the per-case pipeline, so it is the
+           like-for-like unbatched baseline). Only ~30% of the
            sweep is batchable, so the sweep-wide ratio sits near the
            host's noise floor; the member-level pair below times the
            same batchable statements through both detector pipelines,
            which is where the recovered fixed overhead is actually
            visible — fixed_overhead_ns is that member-level delta *)
-        ("wall_s_nobatch", Json.Float timing.wall_s_memo);
+        ("wall_s_nobatch", Json.Float timing.wall_s_plain);
         ("wall_s_batch", Json.Float timing.wall_s_batch);
         ( "batch_speedup",
           Json.Float
             (if timing.wall_s_batch > 0. then
-               timing.wall_s_memo /. timing.wall_s_batch
+               timing.wall_s_plain /. timing.wall_s_batch
              else 0.) );
         ("ns_per_case_member_unbatched", Json.Float member_unbatched_ns);
         ("ns_per_case_member_batched", Json.Float member_batched_ns);
@@ -878,7 +835,6 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
                (Profile.hottest ~n:10 timing.prof_boxed)) );
         ("stages", Telemetry.stages_to_json tel);
         ("verdicts", Telemetry.verdicts_to_json tel);
-        ("memo", Telemetry.memo_to_json tel);
         ("compile", Telemetry.compile_to_json tel);
         ("compact", Telemetry.compact_to_json tel);
         ("attribution", Profile.to_json ~top:10 obs.obs_profile);

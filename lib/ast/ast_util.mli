@@ -26,30 +26,12 @@ val replace_nth_call : Ast.stmt -> int -> Ast.expr -> Ast.stmt option
 val map_exprs : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
 (** Bottom-up rewrite of every expression in the statement. *)
 
-val fingerprint : Ast.stmt -> int64
-(** Structural 64-bit fingerprint: FNV-1a over a canonical post-order
-    serialization of the statement (tags, length-terminated sequences,
-    byte-wise strings). One traversal, no pretty-printing, no per-node
-    allocation. Structurally equal statements always have equal
-    fingerprints; the converse is overwhelmingly likely but not
-    guaranteed — confirm candidate cache hits with {!equal_stmt}. *)
-
 val equal_stmt : Ast.stmt -> Ast.stmt -> bool
-(** Structural equality of statements — the collision guard paired with
-    {!fingerprint}. *)
-
-val fingerprint_stmts : Ast.stmt list -> int64
-(** Fingerprint of a whole statement list — the memo key for a stateful
-    scenario (prerequisites followed by the probe). Length-terminated:
-    a prefix never hashes equal to the full list, and a one-element
-    list hashes differently from {!fingerprint} of its element. *)
-
-val equal_stmts : Ast.stmt list -> Ast.stmt list -> bool
-(** Structural equality of statement lists — the collision guard paired
-    with {!fingerprint_stmts}. *)
+(** Structural equality of statements. *)
 
 val fingerprint_skeleton : Ast.stmt -> int64 option
-(** Like {!fingerprint}, but literal leaves
+(** Structural 64-bit fingerprint (FNV-1a over a canonical post-order
+    serialization, no per-node allocation) in which literal leaves
     ([Null]/[Bool_lit]/[Int_lit]/[Dec_lit]/[Str_lit]/[Hex_lit]) are
     normalized to one shared slot tag: statements that differ only in
     those boundary arguments — the positions a SOFT case family varies,

@@ -20,19 +20,6 @@ type found_bug = {
   case_number : int;
 }
 
-(* The cached image of a verdict: everything needed to replay the
-   classification without the engine round-trip. New-vs-Dup for crashes
-   is NOT cached — it depends on execution order, so it is re-derived
-   from the [sites] table at replay time (within one detector a cached
-   crash always replays as a duplicate: the miss that populated the
-   entry registered the site). *)
-type cached_verdict =
-  | C_passed
-  | C_clean of string
-  | C_fp of string
-  | C_crash of Fault.spec
-  | C_blown
-
 type t = {
   prof : Dialect.profile;
   cov : Coverage.t;
@@ -41,12 +28,11 @@ type t = {
   xroot : Profile.fn_stats;  (* its root record, resolved once *)
   engine : Engine.t;
   mutable executed : int;
-  mutable memoized : int;  (* how many of [executed] skipped the engine *)
   mutable passed : int;
   mutable clean_errors : int;
   mutable false_positives : int;
   mutable known_crashes : int;
-  mutable dup_crashes : int;  (* Dup_bug verdicts, classified + replayed *)
+  mutable dup_crashes : int;  (* Dup_bug verdicts *)
   mutable scenarios : int;  (* stateful scenarios run (prereqs <> []) *)
   mutable prereq_stmts : int;  (* prerequisite statements admitted *)
   (* crash-class verdicts (New/Dup/Known) attributed by occurrence
@@ -63,7 +49,6 @@ type t = {
   fp_signatures : (string, unit) Hashtbl.t;
   fp_buf : Buffer.t;  (* reused across FP-signature normalizations *)
   mutable found : found_bug list;  (* reversed *)
-  memo : cached_verdict Verdict_cache.t option;  (* [None] = --no-memo *)
   plans : Compile.Cache.t option;  (* [None] = --no-compile *)
   mutable slot_buf : Sqlfun_ast.Ast.expr array;
       (* reused across compiled executions; holds each case's literal
@@ -81,8 +66,8 @@ let coverage_since cov before =
          if d > 0 then Some (point, d) else None)
   |> Array.of_list
 
-let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
-    ?(compact = true) prof =
+let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true)
+    prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
@@ -103,7 +88,6 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     xroot = Profile.root_stats xprof;
     engine;
     executed = 0;
-    memoized = 0;
     passed = 0;
     clean_errors = 0;
     false_positives = 0;
@@ -120,7 +104,6 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     fp_signatures = Hashtbl.create 16;
     fp_buf = Buffer.create 128;
     found = [];
-    memo = (if memo then Some (Verdict_cache.create ()) else None);
     plans = (if compile then Some (Compile.Cache.create ()) else None);
     slot_buf = Array.make 16 Sqlfun_ast.Ast.Null;
   }
@@ -297,102 +280,6 @@ let run_sql t ?pattern ?case_number sql =
     ~poc:(fun () -> sql)
     (fun () -> Engine.exec_sql t.engine sql)
 
-(* ----- verdict memoization -----
-
-   A verdict is a pure function of the *statement list* it classifies,
-   because every scenario starts from the same engine state: the
-   session is reset at the top of [classify], and table state is always
-   the post-seed baseline — stateless probes never touch storage, a
-   stateful scenario restores the baseline when it completes, and a
-   crash resets the session and re-pins the baseline in [restart]. So
-   a statement list seen before can replay its recorded verdict without
-   the engine round-trip, bit-identically:
-
-   - counters, the FP-signature set (the first execution registered the
-     signature; a replay of the same message adds nothing), and verdict
-     events replay exactly as a re-execution would have produced them;
-   - coverage is untouched, which only drops duplicate hit-count
-     increments — the distinct point set a re-execution would touch is
-     already present (insertion is idempotent);
-   - a cached crash still restarts the engine, exactly as the
-     re-executed crash would have, so the restart count (and the arming
-     coverage each restart credits) is identical to an uncached run;
-   - a cached non-crash scenario skips its prerequisites entirely, so
-     there is nothing to restore — storage was never touched;
-   - New-vs-Dup is re-derived from the [sites] table (and, across
-     shards, from globally ordered case numbers), never replayed.
-
-   A *bare* DDL/DML statement (a seed replay outside any scenario) is
-   still not cacheable: only [run_scenario] pairs such statements with
-   the baseline-restore discipline that makes their verdicts pure. *)
-
-let cacheable = function
-  | Sqlfun_ast.Ast.Select_stmt _ | Sqlfun_ast.Ast.Explain _ -> true
-  | Sqlfun_ast.Ast.Create_table _ | Sqlfun_ast.Ast.Insert _
-  | Sqlfun_ast.Ast.Drop_table _ ->
-    false
-
-let to_cached = function
-  | Passed -> C_passed
-  | Clean_error msg -> C_clean msg
-  | False_positive msg -> C_fp msg
-  | New_bug spec | Dup_bug spec -> C_crash spec
-  | Known_crash _ -> C_blown
-
-(* Mirrors [classify]'s bookkeeping without the engine round-trip. *)
-let replay t ?pattern ?case_number ~poc cached =
-  t.executed <- t.executed + 1;
-  t.memoized <- t.memoized + 1;
-  let case_number =
-    match case_number with Some n -> n | None -> t.executed
-  in
-  let dialect = t.prof.Dialect.id in
-  let pat =
-    match pattern with Some p -> Pattern_id.to_string p | None -> "seed"
-  in
-  let verdict =
-    match cached with
-    | C_passed ->
-      t.passed <- t.passed + 1;
-      Passed
-    | C_clean msg ->
-      t.clean_errors <- t.clean_errors + 1;
-      Clean_error msg
-    | C_fp msg ->
-      t.false_positives <- t.false_positives + 1;
-      False_positive msg
-    | C_crash spec ->
-      (* a re-execution would have crashed and restarted — keep the
-         engine lifecycle identical *)
-      restart t;
-      count_stage t spec.Fault.stage;
-      if Hashtbl.mem t.sites spec.Fault.site then begin
-        t.dup_crashes <- t.dup_crashes + 1;
-        Dup_bug spec
-      end
-      else begin
-        (* unreachable through the detector (the populating miss
-           registered the site), kept so a hand-fed cache still
-           classifies soundly *)
-        Hashtbl.add t.sites spec.Fault.site ();
-        t.found <-
-          { spec; found_by = pattern; poc = poc (); case_number }
-          :: t.found;
-        Telemetry.bug_event t.tel ~dialect ~site:spec.Fault.site
-          ~kind:(Bug_kind.to_string spec.Fault.kind)
-          ~pattern:pat ~case_number;
-        New_bug spec
-      end
-    | C_blown ->
-      restart t;
-      count_stage t Fault.Execute;
-      t.known_crashes <- t.known_crashes + 1;
-      Known_crash "stack exhausted (CVE-2015-5289 class)"
-  in
-  Telemetry.count_verdict t.tel ~dialect ~pattern:pat ~case_number
-    (verdict_class verdict);
-  verdict
-
 (* The engine round-trip for one statement: compile-once/fill-slots/run
    when a compiled plan covers the statement's skeleton, the interpreter
    otherwise. The plan cache is keyed on the skeleton, so every case of
@@ -464,46 +351,13 @@ let exec_engine t ?pattern stmt =
      | None -> Engine.exec_stmt t.engine stmt
      | Some (plan, buf) -> Engine.exec_compiled t.engine plan buf)
 
-let exec_classified t ?pattern ?case_number ~poc stmt =
-  let execute () =
-    classify t ?pattern ?case_number ~poc (fun () ->
-        exec_engine t ?pattern stmt)
-  in
-  (* memo/compile partition: a skeleton-sharing family is the
-     compiler's — every case after the first is a plan-cache hit, and
-     its distinct boundary literals make verdict-cache hits rare, so
-     the per-case fingerprint+probe is pure overhead there. Memoize
-     only what the compiler does not own: seed replays and the
-     skeleton-varying families the compiler falls back on. *)
-  let compiler_owned =
-    match (t.plans, pattern) with
-    | Some _, Some p -> Pattern_id.shares_skeleton p
-    | _ -> false
-  in
-  match t.memo with
-  | Some cache when cacheable stmt && not compiler_owned ->
-    let fp = Sqlfun_ast.Ast_util.fingerprint stmt in
-    (match Verdict_cache.find cache ~fp [ stmt ] with
-     | Verdict_cache.Hit cached ->
-       Telemetry.memo_hit t.tel;
-       replay t ?pattern ?case_number ~poc cached
-     | Verdict_cache.Miss { collided; admit } ->
-       if collided then Telemetry.memo_collision t.tel;
-       Telemetry.memo_miss t.tel;
-       let verdict = execute () in
-       if admit then Verdict_cache.add cache ~fp [ stmt ] (to_cached verdict);
-       verdict)
-  | Some _ | None -> execute ()
-
 let run_stmt t ?pattern ?case_number stmt =
-  exec_classified t ?pattern ?case_number
+  classify t ?pattern ?case_number
     ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-    stmt
+    (fun () -> exec_engine t ?pattern stmt)
 
 let run_case t ?case_number (case : Patterns.case) =
-  exec_classified t ~pattern:case.Patterns.pattern ?case_number
-    ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt case.Patterns.stmt)
-    case.Patterns.stmt
+  run_stmt t ~pattern:case.Patterns.pattern ?case_number case.Patterns.stmt
 
 (* ----- stateful scenarios -----
 
@@ -522,70 +376,49 @@ let run_scenario t ?case_number (sc : Patterns.scenario) =
     t.scenarios <- t.scenarios + 1;
     t.prereq_stmts <- t.prereq_stmts + List.length prereqs;
     let case = sc.Patterns.case in
-    let stmts = prereqs @ [ case.Patterns.stmt ] in
     (* the PoC is the whole statement list: a stateful bug must replay
        standalone from a cold engine *)
     let poc () =
-      String.concat ";\n" (List.map Sqlfun_ast.Sql_pp.stmt stmts)
+      String.concat ";\n"
+        (List.map Sqlfun_ast.Sql_pp.stmt (prereqs @ [ case.Patterns.stmt ]))
     in
-    let pattern = case.Patterns.pattern in
-    let execute () =
-      let verdict =
-        classify t ~pattern ?case_number ~poc (fun () ->
-            let rec go = function
-              | [] -> Engine.exec_stmt t.engine case.Patterns.stmt
-              | p :: rest ->
-                (match Engine.exec_stmt t.engine p with
-                 | Ok _ -> go rest
-                 | Error _ as e -> e)
-            in
-            go prereqs)
-      in
-      (match verdict with
-       | New_bug _ | Dup_bug _ | Known_crash _ ->
-         (* the crash path already reset the engine to the baseline *)
-         ()
-       | Passed | Clean_error _ | False_positive _ ->
-         Storage.restore (Engine.catalog t.engine) t.baseline);
-      verdict
+    let verdict =
+      classify t ~pattern:case.Patterns.pattern ?case_number ~poc (fun () ->
+          let rec go = function
+            | [] -> Engine.exec_stmt t.engine case.Patterns.stmt
+            | p :: rest ->
+              (match Engine.exec_stmt t.engine p with
+               | Ok _ -> go rest
+               | Error _ as e -> e)
+          in
+          go prereqs)
     in
-    (match t.memo with
-     | Some cache ->
-       let fp = Sqlfun_ast.Ast_util.fingerprint_stmts stmts in
-       (match Verdict_cache.find cache ~fp stmts with
-        | Verdict_cache.Hit cached ->
-          Telemetry.memo_hit t.tel;
-          (* a cached non-crash scenario never ran its prerequisites,
-             so storage is untouched and needs no restore; a cached
-             crash restarts (and re-baselines) inside [replay] *)
-          replay t ~pattern ?case_number ~poc cached
-        | Verdict_cache.Miss { collided; admit } ->
-          if collided then Telemetry.memo_collision t.tel;
-          Telemetry.memo_miss t.tel;
-          let verdict = execute () in
-          if admit then Verdict_cache.add cache ~fp stmts (to_cached verdict);
-          verdict)
-     | None -> execute ())
+    (match verdict with
+     | New_bug _ | Dup_bug _ | Known_crash _ ->
+       (* the crash path already reset the engine to the baseline *)
+       ()
+     | Passed | Clean_error _ | False_positive _ ->
+       Storage.restore (Engine.catalog t.engine) t.baseline);
+    verdict
 
 (* ----- slot-stream batched execution -----
 
    One batch = one skeleton-sharing case family. The per-case fixed
    overhead the unbatched path pays n times — telemetry span entry,
-   plan-cache probe (skeleton fingerprint + structural verify), the
-   memo/compile partition decision, full slot refill, and a fresh PoC
-   closure per case — is paid once here; the member loop is
-   fill-window → eval → settle. Soundness: within a batch the probed
-   skeleton, the partition decision, and the non-window slots are
-   constant by construction (that is what makes it a family), so
-   hoisting them cannot change any member's verdict; and compiled
-   execution is observably identical to interpretation (values,
-   provenance, tick counts, coverage, fault checks — see compile.ml),
-   so members a batch runs compiled where the unbatched run would
-   still have been warming the admission counter classify
-   identically. Member ASTs are never materialized on the hot path;
-   [Patterns.batch_stmt] rebuilds one lazily when a crash needs its
-   PoC, byte-identical to the unbatched pretty-print because the
-   reconstruction is structurally equal to the unbatched statement. *)
+   plan-cache probe (skeleton fingerprint + structural verify), full
+   slot refill, and a fresh PoC closure per case — is paid once here;
+   the member loop is fill-window → eval → settle. Soundness: within a
+   batch the probed skeleton and the non-window slots are constant by
+   construction (that is what makes it a family), so hoisting them
+   cannot change any member's verdict; and compiled execution is
+   observably identical to interpretation (values, provenance, tick
+   counts, coverage, fault checks — see compile.ml), so members a batch
+   runs compiled where the unbatched run would still have been warming
+   the admission counter classify identically. Member ASTs are never
+   materialized on the hot path; [Patterns.batch_stmt] rebuilds one
+   lazily when a crash needs its PoC, byte-identical to the unbatched
+   pretty-print because the reconstruction is structurally equal to
+   the unbatched statement. *)
 let run_batch t ?case_numbers (b : Patterns.batch) =
   let n = Patterns.batch_size b in
   if n > 0 then begin
@@ -593,30 +426,18 @@ let run_batch t ?case_numbers (b : Patterns.batch) =
     let pattern = b.Patterns.b_pattern in
     let pat = Pattern_id.to_string pattern in
     let dialect = t.prof.Dialect.id in
-    let number i =
-      match case_numbers with Some a -> Some a.(i) | None -> None
-    in
-    match t.plans with
-    | None ->
-      (* --no-compile: the interpreter path memoizes (the partition
-         gives these families to the verdict cache when there is no
-         plan cache), so members take the classic per-case route *)
-      List.iteri
-        (fun i vec ->
-          let stmt = Patterns.batch_stmt b vec in
-          ignore
-            (exec_classified t ~pattern ?case_number:(number i)
-               ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-               stmt))
-        b.Patterns.b_vecs
-    | Some cache ->
-      let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
-      let fallbacks k =
-        for _ = 1 to k do Telemetry.compile_fallback t.tel done
-      in
-      (* one probe resolves the whole family; the per-member counters
-         mirror what n unbatched probes of an admitted family record *)
-      let plan =
+    (* one probe resolves the whole family; the per-member counters
+       mirror what n unbatched probes of an admitted family record.
+       Without a plan cache (--no-compile) there is nothing to probe and
+       nothing to count. *)
+    let plan =
+      match t.plans with
+      | None -> None
+      | Some cache ->
+        let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
+        let fallbacks k =
+          for _ = 1 to k do Telemetry.compile_fallback t.tel done
+        in
         Profile.with_phase t.xprof Profile.Plan @@ fun () ->
         let compiled =
           match
@@ -635,91 +456,90 @@ let run_batch t ?case_numbers (b : Patterns.batch) =
             hits (n - 1);
             Some c
         in
-        match compiled with
-        | None -> None
-        | Some Compile.Fallback ->
-          fallbacks n;
-          None
-        | Some (Compile.Plan plan) ->
-          if Compile.n_slots plan <> Array.length b.Patterns.b_slots then begin
-            (* traversal disagreement would mean a skeleton bug; never
-               let it corrupt a verdict — run the interpreter instead *)
-            fallbacks n;
-            None
-          end
-          else Some plan
-      in
-      (match plan with
-       | None ->
-         (* unadmitted or uncompilable family: interpret members one by
-            one. The memo probe is skipped exactly as the unbatched
-            partition skips it — with the plan cache on, a
-            skeleton-sharing family is the compiler's. *)
-         List.iteri
-           (fun i vec ->
-             let stmt = Patterns.batch_stmt b vec in
-             ignore
-               (classify t ~pattern ?case_number:(number i)
-                  ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-                  (fun () -> Engine.exec_stmt t.engine stmt)))
-           b.Patterns.b_vecs
-       | Some plan ->
-         let nslots = Array.length b.Patterns.b_slots in
-         if Array.length t.slot_buf < nslots then
-           t.slot_buf <-
-             Array.make
-               (Stdlib.max nslots (2 * Array.length t.slot_buf))
-               Sqlfun_ast.Ast.Null;
-         let buf = t.slot_buf in
-         (* constant slots land once; the member loop only rewrites the
-            varying window *)
-         Array.blit b.Patterns.b_slots 0 buf 0 nslots;
-         (* one PoC closure for the whole batch: it reads the member
-            vector out of [cur], so clean cases allocate nothing *)
-         let cur = ref b.Patterns.b_slots in
-         let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
-         (* the verdict-counter row is keyed by dialect x pattern, both
-            constant across the batch: resolve it once instead of
-            probing string-keyed tables per member *)
-         let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
-         Telemetry.with_span t.tel ~dialect ~pattern:pat "execute"
-           (fun () ->
-             List.iteri
-               (fun i vec ->
-                 t.executed <- t.executed + 1;
-                 let case_number =
-                   match case_numbers with
-                   | Some a -> a.(i)
-                   | None -> t.executed
-                 in
-                 Sqlfun_functions.Fn_ctx.reset_session
-                   (Engine.context t.engine);
-                 Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
-                 (* the root attribution frame covers the engine
-                    round-trip only, exactly like [classify]'s —
-                    widening it over the verdict bookkeeping would
-                    deflate the attribution ratio *)
-                 ignore (Profile.enter_now t.xprof t.xroot Profile.Other);
-                 let outcome =
-                   match Engine.exec_compiled t.engine plan buf with
-                   | r ->
-                     Profile.exit t.xprof;
-                     `Res r
-                   | exception Fault.Crash spec ->
-                     Profile.exit t.xprof;
-                     `Crashed spec
-                   | exception Stack_overflow ->
-                     Profile.exit t.xprof;
-                     `Blown
-                 in
-                 cur := vec;
-                 let verdict =
-                   settle t ~pattern:(Some pattern) ~pat ~dialect
-                     ~case_number ~poc outcome
-                 in
-                 Telemetry.count_verdict_row t.tel vrow ~dialect
-                   ~pattern:pat ~case_number (verdict_class verdict))
-               b.Patterns.b_vecs))
+        (match compiled with
+         | None -> None
+         | Some Compile.Fallback ->
+           fallbacks n;
+           None
+         | Some (Compile.Plan plan) ->
+           if Compile.n_slots plan <> Array.length b.Patterns.b_slots then begin
+             (* traversal disagreement would mean a skeleton bug; never
+                let it corrupt a verdict — run the interpreter instead *)
+             fallbacks n;
+             None
+           end
+           else Some plan)
+    in
+    match plan with
+    | None ->
+      (* no plan (--no-compile, unadmitted or uncompilable family):
+         interpret members one by one *)
+      List.iteri
+        (fun i vec ->
+          let stmt = Patterns.batch_stmt b vec in
+          let case_number =
+            match case_numbers with Some a -> Some a.(i) | None -> None
+          in
+          ignore
+            (classify t ~pattern ?case_number
+               ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
+               (fun () -> Engine.exec_stmt t.engine stmt)))
+        b.Patterns.b_vecs
+    | Some plan ->
+      let nslots = Array.length b.Patterns.b_slots in
+      if Array.length t.slot_buf < nslots then
+        t.slot_buf <-
+          Array.make
+            (Stdlib.max nslots (2 * Array.length t.slot_buf))
+            Sqlfun_ast.Ast.Null;
+      let buf = t.slot_buf in
+      (* constant slots land once; the member loop only rewrites the
+         varying window *)
+      Array.blit b.Patterns.b_slots 0 buf 0 nslots;
+      (* one PoC closure for the whole batch: it reads the member
+         vector out of [cur], so clean cases allocate nothing *)
+      let cur = ref b.Patterns.b_slots in
+      let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
+      (* the verdict-counter row is keyed by dialect x pattern, both
+         constant across the batch: resolve it once instead of probing
+         string-keyed tables per member *)
+      let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
+      Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
+          List.iteri
+            (fun i vec ->
+              t.executed <- t.executed + 1;
+              let case_number =
+                match case_numbers with
+                | Some a -> a.(i)
+                | None -> t.executed
+              in
+              Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
+              Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
+              (* the root attribution frame covers the engine round-trip
+                 only, exactly like [classify]'s — widening it over the
+                 verdict bookkeeping would deflate the attribution
+                 ratio *)
+              ignore (Profile.enter_now t.xprof t.xroot Profile.Other);
+              let outcome =
+                match Engine.exec_compiled t.engine plan buf with
+                | r ->
+                  Profile.exit t.xprof;
+                  `Res r
+                | exception Fault.Crash spec ->
+                  Profile.exit t.xprof;
+                  `Crashed spec
+                | exception Stack_overflow ->
+                  Profile.exit t.xprof;
+                  `Blown
+              in
+              cur := vec;
+              let verdict =
+                settle t ~pattern:(Some pattern) ~pat ~dialect ~case_number
+                  ~poc outcome
+              in
+              Telemetry.count_verdict_row t.tel vrow ~dialect ~pattern:pat
+                ~case_number (verdict_class verdict))
+            b.Patterns.b_vecs)
   end
 
 let run_cases t ?budget cases =
@@ -767,7 +587,6 @@ let merge_bugs per_shard =
   (List.rev kept, List.rev demoted)
 
 let executed t = t.executed
-let cases_memoized t = t.memoized
 let passed t = t.passed
 let clean_errors t = t.clean_errors
 let false_positives t = t.false_positives

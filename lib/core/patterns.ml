@@ -601,9 +601,8 @@ let count_scenario_positions scenarios =
    contiguous window of literal slots. A batch carries the family
    once — one skeleton statement, its full slot vector, the varying
    window — plus one small literal vector per case, so the executor
-   can resolve the plan and the memo/compile partition once and run
-   the whole family as fill-window → eval → classify. Any member's
-   full AST is recoverable on demand ([batch_stmt]), and flattening a
+   can resolve the plan once and run the whole family as fill-window →
+   eval → classify. Any member's full AST is recoverable on demand ([batch_stmt]), and flattening a
    work stream back to cases ([work_cases]) reproduces the unbatched
    generator's stream element for element — the equivalence the
    property tests pin down. *)

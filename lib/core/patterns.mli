@@ -70,9 +70,8 @@ val count_scenario_positions : scenario Seq.t -> int
 (** A slot-stream batch: one case family that shares a skeleton —
     every member differs from [b_skeleton] only in the literal window
     [b_lo, b_lo + b_n) of its {!Ast_util.fold_slots} vector. The
-    executor resolves the compiled plan and the memo/compile partition
-    once per batch and runs members as fill-window → eval → classify;
-    any member's full AST is recoverable with {!batch_stmt}. *)
+    executor resolves the compiled plan once per batch and runs members
+    as fill-window → eval → classify; any member's full AST is recoverable with {!batch_stmt}. *)
 type batch = {
   b_pattern : Pattern_id.t;
   b_origin : string;

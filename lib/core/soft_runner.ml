@@ -13,7 +13,6 @@ type result = {
   seeds_collected : int;
   positions : int;
   cases_executed : int;
-  cases_memoized : int;
   scenarios_executed : int;
   prereq_statements : int;
   stage_verdicts : Detector.stage_counts;
@@ -108,10 +107,9 @@ let emit_budgeted ~budget ~streams ~emit =
 
 (* One snapshot probe per campaign side (a shard, or the sequential
    whole): branch/function counts from the coverage recorder, bug counts
-   from the detector, memo counters from the telemetry collector, and
-   the campaign-wide per-shard progress view. Probes run at snapshot
+   from the detector, and the campaign-wide per-shard progress view. Probes run at snapshot
    cadence only, so the O(bugs) length walk is fine. *)
-let probe_of det tel progress =
+let probe_of det progress =
   {
     Timeseries.p_branches =
       (fun () -> Coverage.count (Detector.coverage det));
@@ -119,13 +117,11 @@ let probe_of det tel progress =
       (fun () -> Coverage.prefixed_count (Detector.coverage det) "fn/");
     p_new_bugs = (fun () -> List.length (Detector.bugs det));
     p_dup_bugs = (fun () -> Detector.dup_crashes det);
-    p_memo_hits = (fun () -> (Telemetry.memo_counts tel).Telemetry.hits);
-    p_memo_misses = (fun () -> (Telemetry.memo_counts tel).Telemetry.misses);
     p_shard_cases = (fun () -> Progress.read progress);
   }
 
 let mk_result ~prof ~seeds ~tel ~cov ~profile ~positions ~cases_executed
-    ~cases_memoized ~scenarios_executed ~prereq_statements ~stage_verdicts
+    ~scenarios_executed ~prereq_statements ~stage_verdicts
     ~passed ~clean_errors ~false_positives ~fp_signatures ~known_crashes ~bugs
     =
   {
@@ -133,7 +129,6 @@ let mk_result ~prof ~seeds ~tel ~cov ~profile ~positions ~cases_executed
     seeds_collected = List.length seeds;
     positions;
     cases_executed;
-    cases_memoized;
     scenarios_executed;
     prereq_statements;
     stage_verdicts;
@@ -192,7 +187,7 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
 (* ----- the sequential path (shards = 1) ----- *)
 
 let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(memo = true) ?(compile = true)
+    ?(patterns = Pattern_id.all) ?(compile = true)
     ?(compact = true) ?(stateful = true) ?(batch = true) prof =
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let t0 = Telemetry.now_ns () in
@@ -212,12 +207,12 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
       Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
     in
     let detector =
-      Detector.create ?cov ~telemetry:tel ~memo ~compile ~compact prof
+      Detector.create ?cov ~telemetry:tel ~compile ~compact prof
     in
     let progress = Progress.create 1 in
     let recorder =
       Option.map
-        (fun cfg -> Timeseries.recorder cfg ~shard:0 (probe_of detector tel progress))
+        (fun cfg -> Timeseries.recorder cfg ~shard:0 (probe_of detector progress))
         timeseries
     in
     let tick () =
@@ -251,7 +246,6 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
     ~spills:cdelta.Value.Compact.spills;
   Option.iter
     (fun cfg ->
-      let memo_c = Telemetry.memo_counts tel in
       ignore
         (Timeseries.campaign_final cfg
            ~elapsed_ns:(Telemetry.now_ns () - t0)
@@ -261,8 +255,6 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
              (Coverage.prefixed_count (Detector.coverage detector) "fn/")
            ~new_bugs:(List.length (Detector.bugs detector))
            ~dup_bugs:(Detector.dup_crashes detector)
-           ~memo_hits:memo_c.Telemetry.hits
-           ~memo_misses:memo_c.Telemetry.misses
            ~shard_cases:[| Detector.executed detector |]))
     timeseries;
   mk_result ~prof ~seeds ~tel
@@ -270,7 +262,6 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
     ~profile:(Detector.exec_profile detector)
     ~positions:(count_all_positions ~registry ~seeds ~stateful)
     ~cases_executed:(Detector.executed detector)
-    ~cases_memoized:(Detector.cases_memoized detector)
     ~scenarios_executed:(Detector.scenarios_executed detector)
     ~prereq_statements:(Detector.prereq_statements detector)
     ~stage_verdicts:(Detector.stage_verdicts detector)
@@ -310,7 +301,7 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
    crash records on case number ([Detector.merge_bugs]). *)
 
 let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(memo = true) ?(compile = true)
+    ?(patterns = Pattern_id.all) ?(compile = true)
     ?(compact = true) ?(stateful = true) ?(batch = true) ~shards ?jobs
     prof =
   let shards = Stdlib.max 1 shards in
@@ -357,13 +348,13 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
             else begin
               let det =
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
-                  ~profile:shard_profiles.(s) ~memo ~compile ~compact prof
+                  ~profile:shard_profiles.(s) ~compile ~compact prof
               in
               let recorder =
                 Option.map
                   (fun cfg ->
                     Timeseries.recorder cfg ~shard:s
-                      (probe_of det shard_tels.(s) progress))
+                      (probe_of det progress))
                   timeseries
               in
               Some (det, recorder)
@@ -474,15 +465,10 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
   (* the campaign-final snapshot is computed from the deterministically
      merged totals, never from racing shard streams: its
      cases/branches/functions/new_bugs/dup_bugs match a sequential run
-     of the same campaign bit-for-bit (memo counters and rates are
+     of the same campaign bit-for-bit (rates and timestamps are
      throughput metadata and do not) *)
   Option.iter
     (fun cfg ->
-      let sum_tel f =
-        Array.fold_left
-          (fun acc st -> acc + f (Telemetry.memo_counts st))
-          0 shard_tels
-      in
       ignore
         (Timeseries.campaign_final cfg
            ~elapsed_ns:(Telemetry.now_ns () - t0)
@@ -491,8 +477,6 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
            ~functions:(Coverage.prefixed_count campaign_cov "fn/")
            ~new_bugs:(List.length bugs)
            ~dup_bugs:(sum Detector.dup_crashes + List.length demoted)
-           ~memo_hits:(sum_tel (fun c -> c.Telemetry.hits))
-           ~memo_misses:(sum_tel (fun c -> c.Telemetry.misses))
            ~shard_cases:(Progress.read progress)))
     timeseries;
   let stage_verdicts =
@@ -510,7 +494,6 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
   mk_result ~prof ~seeds ~tel ~cov:campaign_cov ~profile:campaign_profile
     ~positions:(count_all_positions ~registry ~seeds ~stateful)
     ~cases_executed:(sum Detector.executed)
-    ~cases_memoized:(sum Detector.cases_memoized)
     ~scenarios_executed:(sum Detector.scenarios_executed)
     ~prereq_statements:(sum Detector.prereq_statements)
     ~stage_verdicts
@@ -519,21 +502,21 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
 
-let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?memo ?compile
-    ?compact ?stateful ?batch ?(shards = 1) ?jobs prof =
+let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?compile ?compact
+    ?stateful ?batch ?(shards = 1) ?jobs prof =
   if shards <= 1 then
-    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?memo
-      ?compile ?compact ?stateful ?batch prof
+    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?compile
+      ?compact ?stateful ?batch prof
   else
-    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?memo ?compile
+    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?compile
       ?compact ?stateful ?batch ~shards ?jobs prof
 
-let fuzz_all ?budget ?telemetry ?timeseries ?memo ?compile ?compact
-    ?stateful ?batch ?(jobs = 1) ?(shards = 1) () =
+let fuzz_all ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
+    ?batch ?(jobs = 1) ?(shards = 1) () =
   if jobs <= 1 then
     List.map
       (fun prof ->
-        fuzz ?budget ?telemetry ?timeseries ?memo ?compile ?compact ?stateful
+        fuzz ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
           ?batch ~shards prof)
       Dialect.all
   else begin
@@ -550,7 +533,7 @@ let fuzz_all ?budget ?telemetry ?timeseries ?memo ?compile ?compact
           Pool.run pool
             (List.map
                (fun prof () ->
-                 fuzz ?budget ?timeseries ?memo ?compile ?compact ?stateful
+                 fuzz ?budget ?timeseries ?compile ?compact ?stateful
                    ?batch ~shards prof)
                Dialect.all))
     in

@@ -27,21 +27,16 @@ type result = {
   seeds_collected : int;
   positions : int;           (** substitution slots found by the collector *)
   cases_executed : int;
-  cases_memoized : int;
-      (** of {!cases_executed}, how many replayed a memoized verdict
-          without an engine round-trip; throughput metadata — varies
-          with shard count (each shard caches privately), unlike every
-          verdict field *)
   scenarios_executed : int;
       (** of {!cases_executed}, how many were stateful scenarios
           (non-empty prerequisite lists); deterministic in shard/job
-          count and memo setting *)
+          count *)
   prereq_statements : int;
       (** prerequisite statements admitted across those scenarios *)
   stage_verdicts : Detector.stage_counts;
       (** crash-class verdicts attributed to the paper's occurrence
           stages (parse / execute / storage); deterministic in
-          shard/job count and memo setting *)
+          shard/job count *)
   passed : int;
   clean_errors : int;
   false_positives : int;
@@ -78,7 +73,6 @@ val fuzz :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?memo:bool ->
   ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->
@@ -94,11 +88,10 @@ val fuzz :
     [budget] cases whenever the patterns can supply them.
     [patterns] restricts the pattern set — the ablation knob. Seeds are
     executed first (sanity pass, not counted against the budget).
-    [memo], [compile] and [compact] (all default [true]) toggle the
-    detector's verdict memoization, closure compilation and compact
-    value representations (see {!Detector.create}); all three are
-    throughput-only — verdicts, bugs, coverage and FP signatures are
-    bit-identical with any of them off.
+    [compile] and [compact] (both default [true]) toggle the detector's
+    closure compilation and compact value representations (see
+    {!Detector.create}); both are throughput-only — verdicts, bugs,
+    coverage and FP signatures are bit-identical with either off.
     [stateful] (default [true]) appends the synthesized stateful
     scenario stream ({!Patterns.generate_scenarios}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
@@ -108,9 +101,8 @@ val fuzz :
     [batch] (default [true]) streams skeleton-sharing pattern families
     as slot-stream batches ({!Patterns.generate_work} /
     {!Detector.run_batch}): one skeleton AST plus slot vectors per
-    family run, with the telemetry span, plan-cache probe and
-    memo/compile partition resolved once per batch instead of once per
-    case. Throughput-only, like the caches: flattened case streams,
+    family run, with the telemetry span and plan-cache probe resolved
+    once per batch instead of once per case. Throughput-only, like the caches: flattened case streams,
     verdicts, bug lists (case numbers included), FP signatures and
     coverage are bit-identical to [batch:false] under any combination
     of the other toggles and any [shards]/[jobs]; batch counters are
@@ -161,7 +153,6 @@ val fuzz_sharded :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?memo:bool ->
   ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->
@@ -179,7 +170,6 @@ val fuzz_all :
   ?budget:int ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
-  ?memo:bool ->
   ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->

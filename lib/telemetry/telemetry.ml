@@ -271,12 +271,6 @@ type t = {
      never builds a compound key (no allocation after the first sighting) *)
   verdicts : (string, (string, verdict_row) Hashtbl.t) Hashtbl.t;
   mutable depth : int;
-  (* verdict-memoization counters: hits replay a cached verdict, misses
-     execute; collisions are fingerprint matches whose structural
-     verification failed (the guard forced a re-execution) *)
-  mutable memo_hits : int;
-  mutable memo_misses : int;
-  mutable memo_collisions : int;
   (* plan-compilation counters: hits reuse a cached compiled plan,
      misses compile one, fallbacks execute through the interpreter
      because the statement shape is outside the compiled subset *)
@@ -306,9 +300,6 @@ let create ?(sink = Null) () =
     stages = Hashtbl.create 16;
     verdicts = Hashtbl.create 8;
     depth = 0;
-    memo_hits = 0;
-    memo_misses = 0;
-    memo_collisions = 0;
     compile_hits = 0;
     compile_misses = 0;
     compile_fallbacks = 0;
@@ -439,22 +430,9 @@ let reclassify_verdict t ~dialect ~pattern ~from_ ~to_ =
   row.counts.(i) <- row.counts.(i) - 1;
   row.counts.(j) <- row.counts.(j) + 1
 
-(* ----- memoization counters ----- *)
+type memo_counts = { hits : int; misses : int }
 
-let memo_hit t = t.memo_hits <- t.memo_hits + 1
-let memo_miss t = t.memo_misses <- t.memo_misses + 1
-let memo_collision t = t.memo_collisions <- t.memo_collisions + 1
-
-type memo_counts = { hits : int; misses : int; collisions : int }
-
-let memo_counts t =
-  { hits = t.memo_hits; misses = t.memo_misses;
-    collisions = t.memo_collisions }
-
-let memo_hit_rate t =
-  let looked_up = t.memo_hits + t.memo_misses in
-  if looked_up = 0 then 0.
-  else float_of_int t.memo_hits /. float_of_int looked_up
+let memo_counts _ = { hits = 0; misses = 0 }
 
 (* ----- plan-compilation counters ----- *)
 
@@ -516,9 +494,6 @@ let merge_into ~dst src =
             row.counts)
         per_dialect)
     src.verdicts;
-  dst.memo_hits <- dst.memo_hits + src.memo_hits;
-  dst.memo_misses <- dst.memo_misses + src.memo_misses;
-  dst.memo_collisions <- dst.memo_collisions + src.memo_collisions;
   dst.compile_hits <- dst.compile_hits + src.compile_hits;
   dst.compile_misses <- dst.compile_misses + src.compile_misses;
   dst.compile_fallbacks <- dst.compile_fallbacks + src.compile_fallbacks;
@@ -641,15 +616,6 @@ let verdict_counts_to_json r =
 let verdicts_to_json t =
   Json.Arr (List.map verdict_counts_to_json (verdict_rows t))
 
-let memo_to_json t =
-  Json.Obj
-    [
-      ("hits", Json.Int t.memo_hits);
-      ("misses", Json.Int t.memo_misses);
-      ("collisions", Json.Int t.memo_collisions);
-      ("hit_rate", Json.Float (memo_hit_rate t));
-    ]
-
 let compile_to_json t =
   Json.Obj
     [
@@ -678,7 +644,6 @@ let snapshot_json t =
     [
       ("stages", stages_to_json t);
       ("verdicts", verdicts_to_json t);
-      ("memo", memo_to_json t);
       ("compile", compile_to_json t);
       ("compact", compact_to_json t);
       ("batch", batch_to_json t);

@@ -180,29 +180,6 @@ val bug_event :
 
 val fp_event : t -> dialect:string -> signature:string -> unit
 
-(** {1 Verdict-memoization counters}
-
-    The detector's statement-fingerprint cache records every lookup
-    here: a {e hit} replayed a cached verdict without touching the
-    engine, a {e miss} executed (and populated the cache), and a
-    {e collision} is a fingerprint match whose structural-equality
-    verification failed — the guard that keeps a 64-bit collision from
-    ever flipping a verdict (the case re-executes and also counts as a
-    miss). Like stage timings, these are throughput metadata: they vary
-    with shard count (each shard caches privately) while verdicts, bugs
-    and coverage do not. *)
-
-val memo_hit : t -> unit
-val memo_miss : t -> unit
-val memo_collision : t -> unit
-
-type memo_counts = { hits : int; misses : int; collisions : int }
-
-val memo_counts : t -> memo_counts
-
-val memo_hit_rate : t -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)
-
 (** {1 Plan-compilation counters}
 
     The detector's closure-compilation path records every case here: a
@@ -210,9 +187,9 @@ val memo_hit_rate : t -> float
     a {e fallback} ran through the interpreter — either the shallow
     shape/shareability pre-filter turned the statement away before the
     cache (no hit or miss counted), or a probed statement compiled to
-    [Fallback] (counted as a hit or miss {e and} a fallback). Like the
-    memoization counters, these are throughput metadata, not
-    determinism-bearing totals. *)
+    [Fallback] (counted as a hit or miss {e and} a fallback). Like stage
+    timings, these are throughput metadata, not determinism-bearing
+    totals. *)
 
 val compile_hit : t -> unit
 val compile_miss : t -> unit
@@ -270,13 +247,19 @@ val reclassify_verdict :
 
 val merge_into : dst:t -> t -> unit
 (** Adds the source's stage aggregates (calls, totals, max,
-    histogram buckets), verdict counters and memoization counters into
-    [dst]. *)
+    histogram buckets), verdict counters and the compile, compact and
+    batch counters into [dst]. *)
 
 val merge : t -> t -> t
 (** Fresh collector (null sink) holding the union of both inputs. *)
 
 (** {1 Aggregate views} *)
+
+type memo_counts = { hits : int; misses : int }
+
+val memo_counts : t -> memo_counts
+(** Always zero: the verdict cache these counted is deleted. Kept only
+    because perfbench reads it; delete with ROADMAP 1(g). *)
 
 type stage_timing = {
   stage : string;
@@ -312,9 +295,6 @@ val stages_to_json : t -> Json.t
 val verdict_counts_to_json : verdict_counts -> Json.t
 val verdicts_to_json : t -> Json.t
 
-val memo_to_json : t -> Json.t
-(** [{"hits": ..., "misses": ..., "collisions": ..., "hit_rate": ...}]. *)
-
 val compile_to_json : t -> Json.t
 (** [{"hits": ..., "misses": ..., "fallbacks": ..., "hit_rate": ...}]. *)
 
@@ -325,8 +305,8 @@ val batch_to_json : t -> Json.t
 (** [{"flushes": ..., "cases": ...}]. *)
 
 val snapshot_json : t -> Json.t
-(** [{"stages": ..., "verdicts": ..., "memo": ..., "compile": ...,
-    "compact": ..., "batch": ...}] — the generic part of a campaign
+(** [{"stages": ..., "verdicts": ..., "compile": ..., "compact": ...,
+    "batch": ...}] — the generic part of a campaign
     snapshot; callers add their own run-level fields. *)
 
 (** {1 Histograms}

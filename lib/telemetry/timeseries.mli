@@ -2,8 +2,8 @@
 
     A campaign end-state says what a sweep found; feedback-directed
     scheduling (and honest perf work) needs the {e curves}: cases/s,
-    cumulative branch coverage, new/dup bug counts and memo hit rates as
-    the stream progresses. A {!t} recorder rides the case loop: every
+    cumulative branch coverage and new/dup bug counts as the stream
+    progresses. A {!t} recorder rides the case loop: every
     executed case {!tick}s it, and every N cases (or T milliseconds,
     whichever fires first) it probes the campaign state and emits one
     delta {!snapshot}.
@@ -30,8 +30,6 @@ type snapshot = {
   functions : int;  (** cumulative distinct functions triggered *)
   new_bugs : int;
   dup_bugs : int;
-  memo_hits : int;
-  memo_misses : int;
   shard_cases : int array;
       (** per-shard cumulative case counts at snapshot time (campaign-wide
           view, read from the shared progress counters); [[||]] when
@@ -45,8 +43,6 @@ type probe = {
   p_functions : unit -> int;
   p_new_bugs : unit -> int;
   p_dup_bugs : unit -> int;
-  p_memo_hits : unit -> int;
-  p_memo_misses : unit -> int;
   p_shard_cases : unit -> int array;
 }
 
@@ -83,8 +79,6 @@ val campaign_final :
   functions:int ->
   new_bugs:int ->
   dup_bugs:int ->
-  memo_hits:int ->
-  memo_misses:int ->
   shard_cases:int array ->
   snapshot
 (** Builds and emits the campaign-final snapshot ([shard = -1],

@@ -318,24 +318,6 @@ let test_more_shards_than_jobs () =
   Alcotest.(check bool) "7 shards on 2 workers matches sequential" true
     (result_key seq = result_key par)
 
-let test_memo_invariant_under_sharding () =
-  (* memoization must be invisible to every result field at any
-     jobs/shards combination — each shard caches privately, so this
-     exercises cache state that a sequential run never builds *)
-  let prof = Dialect.find_exn "duckdb" in
-  let baseline = Soft.Soft_runner.fuzz ~budget:2000 ~memo:false prof in
-  List.iter
-    (fun (shards, jobs) ->
-      let r = Soft.Soft_runner.fuzz ~budget:2000 ~memo:true ~shards ~jobs prof in
-      Alcotest.(check bool)
-        (Printf.sprintf "memo-on shards=%d jobs=%d matches memo-off" shards jobs)
-        true
-        (result_key baseline = result_key r);
-      Alcotest.(check bool) "verdict counters agree" true
-        (verdict_key baseline.Soft.Soft_runner.telemetry
-        = verdict_key r.Soft.Soft_runner.telemetry))
-    [ (1, 1); (2, 2) ]
-
 let test_stateful_sharded_deterministic () =
   (* the stateful gating regression: a scenario is one atomic work item,
      so sequential vs jobs=2/shards=2 must agree on every deterministic
@@ -541,8 +523,6 @@ let suite =
         test_more_shards_than_jobs;
       Alcotest.test_case "stateful campaign shard-deterministic" `Slow
         test_stateful_sharded_deterministic;
-      Alcotest.test_case "memo invariant under sharding" `Slow
-        test_memo_invariant_under_sharding;
       Alcotest.test_case "batched campaign shard-deterministic" `Slow
         test_batched_sharded_deterministic;
       Alcotest.test_case "timeseries final snapshot shard-invariant" `Slow

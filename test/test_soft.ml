@@ -246,174 +246,6 @@ let test_soft_beats_baselines_on_mariadb () =
   Alcotest.(check int) "SQUIRREL finds none" 0 squirrel.Sqlfun_harness.Compare.bugs;
   Alcotest.(check int) "SQLancer finds none" 0 sqlancer.Sqlfun_harness.Compare.bugs
 
-(* ----- statement fingerprinting and verdict memoization ----- *)
-
-let parse_exn sql =
-  match Sqlfun_parse.Parser.parse_stmt sql with
-  | Ok stmt -> stmt
-  | Error msg -> Alcotest.failf "unparseable %S: %s" sql msg
-
-let test_fingerprint_agrees_with_equality () =
-  (* structurally equal statements (print -> parse survivors) hash
-     equal; sampled across every pattern's output *)
-  List.iter
-    (fun pattern ->
-      List.iteri
-        (fun i (c : Soft.Patterns.case) ->
-          if i mod 97 = 0 then begin
-            let stmt = c.Soft.Patterns.stmt in
-            match Sqlfun_parse.Parser.parse_stmt (Sql_pp.stmt stmt) with
-            | Ok stmt' when Ast_util.equal_stmt stmt stmt' ->
-              Alcotest.(check int64) "equal statements hash equal"
-                (Ast_util.fingerprint stmt) (Ast_util.fingerprint stmt')
-            | Ok _ | Error _ -> ()
-          end)
-        (gen "mysql" pattern))
-    Pattern_id.all
-
-let test_fingerprint_sensitivity () =
-  (* every pair below differs in exactly one structural detail a cache
-     must not conflate: literal value, literal type, argument order,
-     arity, cast target, DISTINCT flag *)
-  let pairs =
-    [
-      ("SELECT LENGTH('a')", "SELECT LENGTH('b')");
-      ("SELECT LENGTH('1')", "SELECT LENGTH(1)");
-      ("SELECT CONCAT('a', 'b')", "SELECT CONCAT('b', 'a')");
-      ("SELECT CONCAT('a')", "SELECT CONCAT('a', 'a')");
-      ("SELECT CAST(1 AS BIGINT)", "SELECT CAST(1 AS TEXT)");
-      ("SELECT COUNT(c) FROM t", "SELECT COUNT(DISTINCT c) FROM t");
-      ("SELECT REPEAT('a', 2)", "SELECT REPEAT('a', -2)");
-    ]
-  in
-  List.iter
-    (fun (a, b) ->
-      let fa = Ast_util.fingerprint (parse_exn a) in
-      let fb = Ast_util.fingerprint (parse_exn b) in
-      if Int64.equal fa fb then
-        Alcotest.failf "distinct statements %S and %S collided" a b)
-    pairs;
-  (* and a broad sweep: distinct sampled statements rarely collide *)
-  let tbl = Hashtbl.create 512 in
-  let stmts = ref 0 in
-  List.iter
-    (fun pattern ->
-      List.iteri
-        (fun i (c : Soft.Patterns.case) ->
-          if i mod 31 = 0 then begin
-            incr stmts;
-            let fp = Ast_util.fingerprint c.Soft.Patterns.stmt in
-            match Hashtbl.find_opt tbl fp with
-            | Some prior
-              when not (Ast_util.equal_stmt prior c.Soft.Patterns.stmt) ->
-              Alcotest.failf "fingerprint collision on %S vs %S"
-                (Sql_pp.stmt prior)
-                (Sql_pp.stmt c.Soft.Patterns.stmt)
-            | Some _ -> ()
-            | None -> Hashtbl.add tbl fp c.Soft.Patterns.stmt
-          end)
-        (gen "duckdb" pattern))
-    Pattern_id.all;
-  Alcotest.(check bool) "sampled a real population" true (!stmts > 200)
-
-let test_collision_guard () =
-  (* a forced 64-bit collision must come back as a verified miss, never
-     as a hit on the other statement's verdict *)
-  let cache : string Soft.Verdict_cache.t = Soft.Verdict_cache.create () in
-  let a = parse_exn "SELECT LENGTH('a')" in
-  let b = parse_exn "SELECT UPPER('z')" in
-  let fp = 42L in
-  Soft.Verdict_cache.add cache ~fp [ a ] "verdict-of-a";
-  (match Soft.Verdict_cache.find cache ~fp [ b ] with
-   | Soft.Verdict_cache.Miss { collided = true; _ } -> ()
-   | Soft.Verdict_cache.Miss { collided = false; _ } ->
-     Alcotest.fail "collision not flagged"
-   | Soft.Verdict_cache.Hit _ ->
-     Alcotest.fail "collision replayed the wrong statement's verdict");
-  (match Soft.Verdict_cache.find cache ~fp [ a ] with
-   | Soft.Verdict_cache.Hit v -> Alcotest.(check string) "hit" "verdict-of-a" v
-   | Soft.Verdict_cache.Miss _ -> Alcotest.fail "expected a hit");
-  Soft.Verdict_cache.add cache ~fp [ b ] "verdict-of-b";
-  (match Soft.Verdict_cache.find cache ~fp [ b ] with
-  | Soft.Verdict_cache.Hit v -> Alcotest.(check string) "hit b" "verdict-of-b" v
-  | Soft.Verdict_cache.Miss _ -> Alcotest.fail "expected a hit after add");
-  (* the list guard is not prefix-blind: a two-statement list under the
-     same fingerprint is a collision against the cached singleton *)
-  match Soft.Verdict_cache.find cache ~fp [ b; a ] with
-  | Soft.Verdict_cache.Miss { collided = true; _ } -> ()
-  | Soft.Verdict_cache.Miss { collided = false; _ } ->
-    Alcotest.fail "list-length collision not flagged"
-  | Soft.Verdict_cache.Hit _ ->
-    Alcotest.fail "prefix list replayed the wrong entry"
-
-let test_fingerprint_ddl_dml () =
-  (* satellite: fingerprint/equal_stmt over Create_table and Insert
-     nodes — the statement shapes scenarios put in front of a probe.
-     Every pair differs in one structural detail a scenario memo must
-     not conflate: table name, column type, declared precision,
-     NOT NULL flag, inserted literal, column list, row arity. *)
-  let pairs =
-    [
-      ("CREATE TABLE t (v TEXT)", "CREATE TABLE u (v TEXT)");
-      ("CREATE TABLE t (v TEXT)", "CREATE TABLE t (v BIGINT)");
-      ( "CREATE TABLE t (v DECIMAL(38, 10))",
-        "CREATE TABLE t (v DECIMAL(40, 20))" );
-      ("CREATE TABLE t (v TEXT)", "CREATE TABLE t (v TEXT NOT NULL)");
-      ("INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)");
-      ("INSERT INTO t VALUES (1)", "INSERT INTO t (v) VALUES (1)");
-      ("INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (1), (1)");
-      ("INSERT INTO t VALUES ('x')", "INSERT INTO u VALUES ('x')");
-    ]
-  in
-  List.iter
-    (fun (a, b) ->
-      let sa = parse_exn a and sb = parse_exn b in
-      Alcotest.(check bool)
-        (Printf.sprintf "%S <> %S structurally" a b)
-        false
-        (Ast_util.equal_stmt sa sb);
-      if Int64.equal (Ast_util.fingerprint sa) (Ast_util.fingerprint sb) then
-        Alcotest.failf "distinct statements %S and %S collided" a b;
-      (* round-trip: print -> parse preserves equality and fingerprint *)
-      match Sqlfun_parse.Parser.parse_stmt (Sql_pp.stmt sa) with
-      | Ok sa' when Ast_util.equal_stmt sa sa' ->
-        Alcotest.(check int64) "round-trip hashes equal"
-          (Ast_util.fingerprint sa) (Ast_util.fingerprint sa')
-      | Ok _ | Error _ -> ())
-    pairs
-
-let test_fingerprint_stmts_lists () =
-  (* satellite: the scenario memo key is sensitive to everything the
-     detector's reset discipline does not neutralize — list length,
-     statement order, and any edit to a prerequisite *)
-  let create = parse_exn "CREATE TABLE t (v TEXT)" in
-  let insert = parse_exn "INSERT INTO t VALUES ('abc')" in
-  let insert' = parse_exn "INSERT INTO t VALUES ('abd')" in
-  let probe = parse_exn "SELECT LENGTH(v) FROM t" in
-  let fp = Ast_util.fingerprint_stmts in
-  let distinct msg a b =
-    Alcotest.(check bool) (msg ^ ": lists structurally distinct") false
-      (Ast_util.equal_stmts a b);
-    if Int64.equal (fp a) (fp b) then Alcotest.failf "%s: collided" msg
-  in
-  distinct "singleton vs doubled" [ probe ] [ probe; probe ];
-  distinct "prefix vs full scenario" [ create; insert ]
-    [ create; insert; probe ];
-  distinct "prereq order" [ create; insert; probe ] [ insert; create; probe ];
-  distinct "prereq literal edit" [ create; insert; probe ]
-    [ create; insert'; probe ];
-  (* a singleton list must not hash like the bare statement — the
-     stateless memo keyspace and the scenario keyspace stay disjoint *)
-  Alcotest.(check bool) "singleton list keyspace is distinct" false
-    (Int64.equal (fp [ probe ]) (Ast_util.fingerprint probe));
-  (* and equal lists hash equal, of course *)
-  let copy = parse_exn "SELECT LENGTH(v) FROM t" in
-  Alcotest.(check bool) "copies equal" true
-    (Ast_util.equal_stmts [ create; copy ] [ create; probe ]);
-  Alcotest.(check int64) "copies hash equal"
-    (fp [ create; probe ])
-    (fp [ create; copy ])
-
 let test_scenario_positions_counted () =
   (* satellite: count_positions counts INSERT/UPDATE/WHERE substitution
      slots, via the scenario probes that put calls there *)
@@ -647,27 +479,12 @@ let test_crash_reset_in_place () =
         (label ^ ": next coverage delta as fresh") fresh_gain gain)
     crashes
 
-let test_stateful_campaign_identical () =
-  (* the scenario determinism bar: a stateful campaign's verdict JSON
-     (scenario counters and stage attribution included — they live in
-     [totals]) is identical with memoization on vs off *)
-  let open Sqlfun_telemetry in
+let test_stateful_campaign_reaches_every_stage () =
+  (* the scenario stream is non-vacuous: a budgeted stateful campaign
+     runs scenarios and surfaces crash verdicts at all three occurrence
+     stages, while [~stateful:false] reaches none of them *)
   let prof = Dialect.find_exn "duckdb" in
-  let on = Soft.Soft_runner.fuzz ~budget:2_000 ~memo:true prof in
-  let off = Soft.Soft_runner.fuzz ~budget:2_000 ~memo:false prof in
-  let jon = Soft.Report.campaign_to_json on
-  and joff = Soft.Report.campaign_to_json off in
-  List.iter
-    (fun key ->
-      let get j =
-        match Json.member key j with
-        | Some v -> Json.to_string v
-        | None -> Alcotest.failf "report lacks %S" key
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "%s identical" key)
-        (get joff) (get jon))
-    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families" ];
+  let on = Soft.Soft_runner.fuzz ~budget:2_000 prof in
   Alcotest.(check bool) "scenarios executed" true
     (on.Soft.Soft_runner.scenarios_executed > 0);
   let sv = on.Soft.Soft_runner.stage_verdicts in
@@ -686,62 +503,17 @@ let test_stateful_campaign_identical () =
   Alcotest.(check int) "no storage-stage verdicts when off" 0
     lsv.Soft.Detector.storage
 
-let test_memo_campaign_identical () =
-  (* the acceptance bar: a memoized campaign is field-for-field
-     identical to an unmemoized one — only throughput metadata
-     (cases_memoized, timings, coverage hit counts) may differ *)
-  let prof = Dialect.find_exn "clickhouse" in
-  let on = Soft.Soft_runner.fuzz ~budget:3_000 ~memo:true prof in
-  let off = Soft.Soft_runner.fuzz ~budget:3_000 ~memo:false prof in
-  let bug_key (b : Soft.Detector.found_bug) =
-    (b.Soft.Detector.spec.Fault.site, b.Soft.Detector.found_by,
-     b.Soft.Detector.poc, b.Soft.Detector.case_number)
-  in
-  Alcotest.(check int) "cases" on.Soft.Soft_runner.cases_executed
-    off.Soft.Soft_runner.cases_executed;
-  Alcotest.(check int) "passed" on.Soft.Soft_runner.passed
-    off.Soft.Soft_runner.passed;
-  Alcotest.(check int) "clean errors" on.Soft.Soft_runner.clean_errors
-    off.Soft.Soft_runner.clean_errors;
-  Alcotest.(check int) "false positives" on.Soft.Soft_runner.false_positives
-    off.Soft.Soft_runner.false_positives;
-  Alcotest.(check (list string)) "fp signatures"
-    on.Soft.Soft_runner.fp_signatures off.Soft.Soft_runner.fp_signatures;
-  Alcotest.(check int) "known crashes" on.Soft.Soft_runner.known_crashes
-    off.Soft.Soft_runner.known_crashes;
-  Alcotest.(check bool) "same bugs" true
-    (List.map bug_key on.Soft.Soft_runner.bugs
-    = List.map bug_key off.Soft.Soft_runner.bugs);
-  Alcotest.(check int) "functions triggered"
-    on.Soft.Soft_runner.functions_triggered
-    off.Soft.Soft_runner.functions_triggered;
-  Alcotest.(check int) "branches covered" on.Soft.Soft_runner.branches_covered
-    off.Soft.Soft_runner.branches_covered;
-  (* with compilation on, the memo/compile partition hands the
-     skeleton-sharing families to the plan cache and memoizes only the
-     compiler-fallback streams — non-vacuity of the memo machinery is
-     checked on the pure-memo configuration, where it still covers
-     every cacheable statement *)
-  let pure =
-    Soft.Soft_runner.fuzz ~budget:3_000 ~memo:true ~compile:false prof
-  in
-  Alcotest.(check bool) "memoized some cases" true
-    (pure.Soft.Soft_runner.cases_memoized > 0);
-  Alcotest.(check int) "no-memo memoizes nothing" 0
-    off.Soft.Soft_runner.cases_memoized
-
 let test_compile_campaign_identical () =
   (* the compile-soundness bar, over every dialect: closure-compiled
      execution must be behaviour-invisible — identical verdict JSON,
-     coverage point sets, and fault sites with compilation on vs off.
-     Only throughput metadata may differ: timings, plan-cache counters,
-     and coverage hit counts — the memo/compile partition memoizes
-     skeleton-sharing families only when the plan cache is off, and a
-     memo replay skips the duplicate hit-count increments a re-execution
-     would record. *)
+     fault sites and the full hit-counted coverage JSON with
+     compilation on vs off. Compiled plans run every case the
+     interpreter would, with the same branch probes, so only
+     throughput metadata may differ: timings and plan-cache
+     counters. *)
   let open Sqlfun_telemetry in
   let deterministic_keys =
-    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families" ]
+    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
   in
   List.iter
     (fun prof ->
@@ -761,12 +533,10 @@ let test_compile_campaign_identical () =
             (Printf.sprintf "%s: %s identical" name key)
             (get joff) (get jon))
         deterministic_keys;
-      let point_set (r : Soft.Soft_runner.result) =
-        List.map fst (Sqlfun_coverage.Coverage.points r.Soft.Soft_runner.coverage)
-      in
-      Alcotest.(check (list string))
-        (name ^ ": coverage point set identical")
-        (point_set off) (point_set on);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": coverage points identical")
+        (Sqlfun_coverage.Coverage.points off.Soft.Soft_runner.coverage)
+        (Sqlfun_coverage.Coverage.points on.Soft.Soft_runner.coverage);
       let sites (r : Soft.Soft_runner.result) =
         List.map
           (fun (b : Soft.Detector.found_bug) ->
@@ -794,10 +564,9 @@ let test_compile_campaign_identical () =
 let test_compact_campaign_identical () =
   (* the compact-representation soundness bar, over every dialect:
      range-array and rope-string values must be behaviour-invisible.
-     Unlike memo/compile, compaction cannot even shift coverage hit
-     counts — every branch probe and tick survives on the compact
-     paths — so the full coverage JSON (hit counts included) is held
-     identical, not just the point set. *)
+     Every branch probe and tick survives on the compact paths, so the
+     full coverage JSON (hit counts included) is held identical, not
+     just the point set. *)
   let open Sqlfun_telemetry in
   let deterministic_keys =
     [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
@@ -907,7 +676,7 @@ let test_batch_campaign_identical () =
      identical verdict JSON, bug lists, FP signatures, and the full
      hit-counted coverage JSON (batching hoists decisions that are
      constant across a family; it never skips or reorders an engine
-     round-trip, so unlike memo it cannot even shift hit counts). The
+     round-trip, so it cannot shift hit counts). The
      budget forces {!Soft.Soft_runner.split_budget} shares through
      mid-family cuts, so batch splitting is exercised too. *)
   let open Sqlfun_telemetry in
@@ -1018,15 +787,6 @@ let suite =
         test_detector_finds_planted_bug;
       Alcotest.test_case "detector classifies" `Quick test_detector_classifies;
       Alcotest.test_case "budgeted run" `Quick test_budgeted_run;
-      Alcotest.test_case "fingerprint agrees with equality" `Quick
-        test_fingerprint_agrees_with_equality;
-      Alcotest.test_case "fingerprint sensitivity" `Quick
-        test_fingerprint_sensitivity;
-      Alcotest.test_case "collision guard" `Quick test_collision_guard;
-      Alcotest.test_case "fingerprint over DDL/DML" `Quick
-        test_fingerprint_ddl_dml;
-      Alcotest.test_case "fingerprint over statement lists" `Quick
-        test_fingerprint_stmts_lists;
       Alcotest.test_case "scenario positions counted" `Quick
         test_scenario_positions_counted;
       Alcotest.test_case "scenario crash restores baseline" `Quick
@@ -1035,10 +795,8 @@ let suite =
         test_arming_delta_equals_fresh_arm;
       Alcotest.test_case "crash reset in place (every stage)" `Quick
         test_crash_reset_in_place;
-      Alcotest.test_case "stateful campaign identical (memo on/off)" `Slow
-        test_stateful_campaign_identical;
-      Alcotest.test_case "memoized campaign identical" `Slow
-        test_memo_campaign_identical;
+      Alcotest.test_case "stateful campaign reaches every stage" `Slow
+        test_stateful_campaign_reaches_every_stage;
       Alcotest.test_case "compiled campaign identical (all dialects)" `Slow
         test_compile_campaign_identical;
       Alcotest.test_case "compact campaign identical (all dialects)" `Slow
