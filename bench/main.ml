@@ -537,80 +537,15 @@ let microbenches () =
         results)
     tests
 
-(* ----- per-case execution cost of the two engine paths ----- *)
+(* ----- per-case pipeline cost of batch members ----- *)
 
-(* One plan-shaped statement executed hot through the tree-walking
-   interpreter and through its compiled closure (slot fill included, as
-   the detector pays it). The absolute ns/case pair normalizes campaign
-   speedups across hosts: wall-clock ratios drift with machine load, the
-   per-path cost ratio does not. *)
-let per_case_costs () =
-  section "Per-case execution cost (interpreter vs compiled vs batched)";
-  let prof = Dialect.find_exn "mariadb" in
-  let engine = Dialect.make_engine prof in
-  let stmt =
-    match
-      Sqlfun_parse.Parser.parse_stmt
-        "SELECT UPPER(CONCAT('boundary', 99999)), LENGTH(REPEAT('ab', 7))"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let registry = Sqlfun_engine.Engine.registry engine in
-  let plan =
-    match Sqlfun_engine.Compile.compile ~registry stmt with
-    | Sqlfun_engine.Compile.Plan p -> p
-    | Sqlfun_engine.Compile.Fallback ->
-      failwith "per-case bench statement fell outside the compiled subset"
-  in
-  let buf =
-    Array.make (Sqlfun_engine.Compile.n_slots plan) Sqlfun_ast.Ast.Null
-  in
-  let time_ns_per_run f =
-    let iters = 20_000 in
-    for _ = 1 to 2_000 do f () done;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do f () done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
-  let interp_ns =
-    time_ns_per_run (fun () ->
-        ignore (Sqlfun_engine.Engine.exec_stmt engine stmt))
-  in
-  let compiled_ns =
-    time_ns_per_run (fun () ->
-        ignore
-          (Sqlfun_ast.Ast_util.fold_slots
-             (fun i s -> buf.(i) <- s; i + 1)
-             0 stmt);
-        ignore (Sqlfun_engine.Engine.exec_compiled engine plan buf))
-  in
-  (* the batched member loop: the constant slots landed once when the
-     family was resolved, so a member only rewrites the varying window
-     before running the plan — no AST, no fold_slots walk *)
-  let window = [| buf.(1) |] in
-  let batched_ns =
-    time_ns_per_run (fun () ->
-        Array.blit window 0 buf 1 1;
-        ignore (Sqlfun_engine.Engine.exec_compiled engine plan buf))
-  in
-  Printf.printf
-    "  interpreter  %8.0f ns/case\n  compiled     %8.0f ns/case (%.2fx)\n\
-    \  batched      %8.0f ns/case (%.2fx)\n"
-    interp_ns compiled_ns
-    (if compiled_ns > 0. then interp_ns /. compiled_ns else 0.)
-    batched_ns
-    (if batched_ns > 0. then interp_ns /. batched_ns else 0.);
-  (interp_ns, compiled_ns, batched_ns)
-
-(* The fixed per-case overhead the batching actually recovers lives
-   outside [exec]: per-case AST materialization, the skeleton
-   fingerprint + plan-cache probe, span entry, the PoC closure. The
-   engine-level triple above cannot see it, so this leg times the full
-   detector round-trip over one dialect's real batchable families —
-   member-for-member the same statements — through [run_scenario]
-   (the --no-batch pipeline) and through [run_batch]. Min-of-two with
-   [Gc.compact] isolation like every other leg. *)
+(* What batching can recover is per-case fixed overhead outside the
+   engine: case materialization, the scenario wrapper, stream
+   bookkeeping. This leg times the full detector round-trip over one
+   dialect's real batchable families — member-for-member the same
+   statements, all interpreted — through [run_scenario] (the --no-batch
+   pipeline) and through [run_batch]. Min-of-three with [Gc.compact]
+   isolation like every other leg. *)
 let batch_member_costs () =
   section "Per-case pipeline cost on batchable families (unbatched vs batched)";
   let prof = Dialect.find_exn "mysql" in
@@ -620,12 +555,10 @@ let batch_member_costs () =
   let seeds =
     Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
   in
-  let batchable =
-    List.filter Sqlfun_fault.Pattern_id.shares_skeleton
-      Sqlfun_fault.Pattern_id.all
-  in
+  (* non-batched work items are skipped below, so every pattern can be
+     offered *)
   let each_batch f () =
-    let det = Soft.Detector.create ~compile:true prof in
+    let det = Soft.Detector.create prof in
     let n = ref 0 in
     List.iter
       (fun p ->
@@ -636,7 +569,7 @@ let batch_member_costs () =
               n := !n + Soft.Patterns.batch_size b;
               f det b)
           (Soft.Patterns.generate_work ~registry ~seeds p))
-      batchable;
+      Sqlfun_fault.Pattern_id.all;
     !n
   in
   let unbatched_leg =
@@ -680,8 +613,7 @@ let batch_member_costs () =
 (* The perf trajectory artifact: stage wall-times, verdict counters,
    execute-stage attribution and the coverage-growth curve of the
    exhaustive campaign, diffable across PRs. *)
-let write_telemetry tel results timing obs ~ns_per_case_interp
-    ~ns_per_case_compiled ~ns_per_case_batched ~member_unbatched_ns
+let write_telemetry tel results timing obs ~member_unbatched_ns
     ~member_batched_ns =
   let path = "BENCH_telemetry.json" in
   let campaign_json (r : Soft.Soft_runner.result) =
@@ -722,9 +654,6 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
         ("wall_s_sequential", Json.Float timing.wall_s_sequential);
         ("wall_s_plain", Json.Float timing.wall_s_plain);
         ("plain_deterministic", Json.Bool timing.plain_deterministic);
-        ("ns_per_case_interp", Json.Float ns_per_case_interp);
-        ("ns_per_case_compiled", Json.Float ns_per_case_compiled);
-        ("ns_per_case_batched", Json.Float ns_per_case_batched);
         ("cores", Json.Int timing.cores);
         ( "parallel_comparison",
           Json.Str
@@ -835,7 +764,6 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
                (Profile.hottest ~n:10 timing.prof_boxed)) );
         ("stages", Telemetry.stages_to_json tel);
         ("verdicts", Telemetry.verdicts_to_json tel);
-        ("compile", Telemetry.compile_to_json tel);
         ("compact", Telemetry.compact_to_json tel);
         ("attribution", Profile.to_json ~top:10 obs.obs_profile);
         ( "coverage_curve",
@@ -880,12 +808,8 @@ let () =
   logic_oracles ();
   (try microbenches ()
    with e -> Printf.printf "(micro-benchmarks skipped: %s)\n" (Printexc.to_string e));
-  let ns_per_case_interp, ns_per_case_compiled, ns_per_case_batched =
-    per_case_costs ()
-  in
   let member_unbatched_ns, member_batched_ns = batch_member_costs () in
-  write_telemetry tel results timing obs ~ns_per_case_interp
-    ~ns_per_case_compiled ~ns_per_case_batched ~member_unbatched_ns
+  write_telemetry tel results timing obs ~member_unbatched_ns
     ~member_batched_ns;
   print_newline ();
   print_endline "bench: all tables and figures regenerated."

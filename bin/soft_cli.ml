@@ -56,15 +56,6 @@ let trace_arg =
            ~doc:"Stream telemetry events (spans, verdicts, bugs, FP \
                  signatures) to $(docv) as JSON lines.")
 
-let no_compile_arg =
-  Arg.(value & flag
-       & info [ "no-compile" ]
-           ~doc:"Disable closure compilation (every case is evaluated by \
-                 the AST interpreter instead of a cached compiled plan). \
-                 Verdicts, bug lists and FP signatures are bit-identical \
-                 with compilation on or off; the flag exists to verify \
-                 that and to time it.")
-
 let no_compact_arg =
   Arg.(value & flag
        & info [ "no-compact" ]
@@ -201,9 +192,8 @@ let progress_renderer dialect_id =
     Mutex.unlock m
 
 let fuzz_cmd =
-  let run dialect budget jobs shards no_compile no_compact no_stateful
-      no_batch verbose report trace json profile_out
-      timeseries_out progress =
+  let run dialect budget jobs shards no_compact no_stateful no_batch
+      verbose report trace json profile_out timeseries_out progress =
     match resolve_dialect dialect with
     | Error msg ->
       prerr_endline msg;
@@ -235,9 +225,8 @@ let fuzz_cmd =
           in
           let r =
             Soft.Soft_runner.fuzz ?budget ~telemetry:tel ?timeseries
-              ~compile:(not no_compile) ~compact:(not no_compact)
-              ~stateful:(not no_stateful) ~batch:(not no_batch) ~shards
-              ~jobs prof
+              ~compact:(not no_compact) ~stateful:(not no_stateful)
+              ~batch:(not no_batch) ~shards ~jobs prof
           in
           if progress then prerr_newline ();
           Option.iter close_out ts_oc;
@@ -273,13 +262,6 @@ let fuzz_cmd =
               sv.Soft.Detector.parse sv.Soft.Detector.execute
               sv.Soft.Detector.storage
           end;
-          (let cc = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
-           Printf.printf
-             "  plans compiled:       %d (%.1f%% plan-cache hit rate, %d \
-              fallbacks)\n"
-             cc.Telemetry.c_misses
-             (100. *. Telemetry.compile_hit_rate r.Soft.Soft_runner.telemetry)
-             cc.Telemetry.c_fallbacks);
           (let kc = Telemetry.compact_counts r.Soft.Soft_runner.telemetry in
            Printf.printf "  compact values:       %d built, %d spilled\n"
              kc.Telemetry.k_hits kc.Telemetry.k_spills);
@@ -316,9 +298,8 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a SOFT campaign against a simulated dialect")
     Term.(const run $ dialect_arg $ budget_arg 0 $ jobs_arg $ shards_arg
-          $ no_compile_arg $ no_compact_arg $ no_stateful_arg $ no_batch_arg
-          $ verbose $ report $ trace_arg $ json_arg
-          $ profile_arg $ timeseries_arg $ progress_arg)
+          $ no_compact_arg $ no_stateful_arg $ no_batch_arg $ verbose $ report
+          $ trace_arg $ json_arg $ profile_arg $ timeseries_arg $ progress_arg)
 
 let study_cmd =
   let run () =

@@ -49,10 +49,6 @@ type t = {
   fp_signatures : (string, unit) Hashtbl.t;
   fp_buf : Buffer.t;  (* reused across FP-signature normalizations *)
   mutable found : found_bug list;  (* reversed *)
-  plans : Compile.Cache.t option;  (* [None] = --no-compile *)
-  mutable slot_buf : Sqlfun_ast.Ast.expr array;
-      (* reused across compiled executions; holds each case's literal
-         slot nodes *)
 }
 
 (* The hits [cov] gained since [before] (its earlier [Coverage.points]). *)
@@ -66,8 +62,7 @@ let coverage_since cov before =
          if d > 0 then Some (point, d) else None)
   |> Array.of_list
 
-let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true)
-    prof =
+let create ?cov ?telemetry ?profile ?(compact = true) prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
@@ -104,8 +99,6 @@ let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true)
     fp_signatures = Hashtbl.create 16;
     fp_buf = Buffer.create 128;
     found = [];
-    plans = (if compile then Some (Compile.Cache.create ()) else None);
-    slot_buf = Array.make 16 Sqlfun_ast.Ast.Null;
   }
 
 (* A restart is the crash path, done as an in-place reset of the
@@ -143,75 +136,6 @@ let verdict_class = function
   | New_bug _ -> Telemetry.New_bug
   | Dup_bug _ -> Telemetry.Dup_bug
   | Known_crash _ -> Telemetry.Known_crash
-
-(* The verdict bookkeeping for one executed outcome — counter updates,
-   FP-signature dedup, crash restart, site registration, bug events.
-   The single source of truth shared by [classify] (one engine
-   round-trip per call) and [run_batch] (one call per batch member
-   inside the batched loop): both paths produce bit-identical verdicts,
-   counters and events because both end here. *)
-let settle t ~pattern ~pat ~dialect ~case_number ~poc outcome =
-  match outcome with
-  | `Res (Ok _) ->
-    t.passed <- t.passed + 1;
-    Passed
-  | `Res (Error (Engine.Parse_failed msg) | Error (Engine.Sql_failed msg)) ->
-    t.clean_errors <- t.clean_errors + 1;
-    Clean_error msg
-  | `Res (Error (Engine.Limit_hit msg)) ->
-    t.false_positives <- t.false_positives + 1;
-    (* the paper counts unique false-positive *reports*; dedupe on the
-       message with digits normalized out. Stored signatures are
-       digit-free ('#' stands for every digit run), so a raw message
-       that already hits the table must itself be digit-free — its
-       normalization is the identity and can be skipped. Messages
-       that do need normalizing reuse one per-detector buffer instead
-       of allocating a fresh one per false positive. *)
-    if Hashtbl.mem t.fp_signatures msg then False_positive msg
-    else begin
-      let signature =
-        let buf = t.fp_buf in
-        Buffer.clear buf;
-        let prev_digit = ref false in
-        String.iter
-          (fun c ->
-            let is_digit = c >= '0' && c <= '9' in
-            if is_digit then begin
-              if not !prev_digit then Buffer.add_char buf '#'
-            end
-            else Buffer.add_char buf c;
-            prev_digit := is_digit)
-          msg;
-        Buffer.contents buf
-      in
-      if not (Hashtbl.mem t.fp_signatures signature) then begin
-        Hashtbl.add t.fp_signatures signature ();
-        Telemetry.fp_event t.tel ~dialect ~signature
-      end;
-      False_positive msg
-    end
-  | `Crashed spec ->
-    restart t;
-    count_stage t spec.Fault.stage;
-    if Hashtbl.mem t.sites spec.Fault.site then begin
-      t.dup_crashes <- t.dup_crashes + 1;
-      Dup_bug spec
-    end
-    else begin
-      Hashtbl.add t.sites spec.Fault.site ();
-      t.found <-
-        { spec; found_by = pattern; poc = poc (); case_number }
-        :: t.found;
-      Telemetry.bug_event t.tel ~dialect ~site:spec.Fault.site
-        ~kind:(Bug_kind.to_string spec.Fault.kind)
-        ~pattern:pat ~case_number;
-      New_bug spec
-    end
-  | `Blown ->
-    restart t;
-    count_stage t Fault.Execute;
-    t.known_crashes <- t.known_crashes + 1;
-    Known_crash "stack exhausted (CVE-2015-5289 class)"
 
 (* [poc] is rendered lazily: pretty-printing every generated statement
    would dominate the runtime, and only crashing statements need SQL.
@@ -263,8 +187,73 @@ let classify t ?pattern ?case_number ~poc run =
   close "execute" ~start:t0 t1;
   Telemetry.span_open_at t.tel ~dialect ~pattern:pat "detect" t1;
   Profile.enter_at t.xprof t.xroot Profile.Classify t1;
+  (* the verdict bookkeeping: counters, FP-signature dedup, crash
+     restart, site registration, bug events *)
   let verdict =
-    match settle t ~pattern ~pat ~dialect ~case_number ~poc outcome with
+    match
+      match outcome with
+      | `Res (Ok _) ->
+        t.passed <- t.passed + 1;
+        Passed
+      | `Res (Error (Engine.Parse_failed msg | Engine.Sql_failed msg)) ->
+        t.clean_errors <- t.clean_errors + 1;
+        Clean_error msg
+      | `Res (Error (Engine.Limit_hit msg)) ->
+        t.false_positives <- t.false_positives + 1;
+        (* the paper counts unique false-positive *reports*; dedupe on
+           the message with digits normalized out. Stored signatures
+           are digit-free ('#' stands for every digit run), so a raw
+           message that already hits the table must itself be
+           digit-free — its normalization is the identity and can be
+           skipped. Messages that do need normalizing reuse one
+           per-detector buffer instead of allocating a fresh one per
+           false positive. *)
+        if Hashtbl.mem t.fp_signatures msg then False_positive msg
+        else begin
+          let signature =
+            let buf = t.fp_buf in
+            Buffer.clear buf;
+            let prev_digit = ref false in
+            String.iter
+              (fun c ->
+                let is_digit = c >= '0' && c <= '9' in
+                if is_digit then begin
+                  if not !prev_digit then Buffer.add_char buf '#'
+                end
+                else Buffer.add_char buf c;
+                prev_digit := is_digit)
+              msg;
+            Buffer.contents buf
+          in
+          if not (Hashtbl.mem t.fp_signatures signature) then begin
+            Hashtbl.add t.fp_signatures signature ();
+            Telemetry.fp_event t.tel ~dialect ~signature
+          end;
+          False_positive msg
+        end
+      | `Crashed spec ->
+        restart t;
+        count_stage t spec.Fault.stage;
+        if Hashtbl.mem t.sites spec.Fault.site then begin
+          t.dup_crashes <- t.dup_crashes + 1;
+          Dup_bug spec
+        end
+        else begin
+          Hashtbl.add t.sites spec.Fault.site ();
+          t.found <-
+            { spec; found_by = pattern; poc = poc (); case_number }
+            :: t.found;
+          Telemetry.bug_event t.tel ~dialect ~site:spec.Fault.site
+            ~kind:(Bug_kind.to_string spec.Fault.kind)
+            ~pattern:pat ~case_number;
+          New_bug spec
+        end
+      | `Blown ->
+        restart t;
+        count_stage t Fault.Execute;
+        t.known_crashes <- t.known_crashes + 1;
+        Known_crash "stack exhausted (CVE-2015-5289 class)"
+    with
     | v -> v
     | exception exn ->
       close "detect" ~start:t1 (Telemetry.now_ns ());
@@ -280,81 +269,10 @@ let run_sql t ?pattern ?case_number sql =
     ~poc:(fun () -> sql)
     (fun () -> Engine.exec_sql t.engine sql)
 
-(* The engine round-trip for one statement: compile-once/fill-slots/run
-   when a compiled plan covers the statement's skeleton, the interpreter
-   otherwise. The plan cache is keyed on the skeleton, so every case of
-   a pattern family after the first is a cache hit that skips the AST
-   walk entirely; the slot buffer is reused across cases. *)
-let exec_engine t ?pattern stmt =
-  match t.plans with
-  | None -> Engine.exec_stmt t.engine stmt
-  | Some _
-    when not
-           (match pattern with
-            | Some p -> Pattern_id.shares_skeleton p
-            | None -> false) ->
-    (* seed replays and skeleton-varying patterns (P2.1/P2.2/P3.2/P3.3)
-       never reuse a plan; probing the cache for them costs more than
-       the tree walk they would run anyway *)
-    Telemetry.compile_fallback t.tel;
-    Engine.exec_stmt t.engine stmt
-  | Some cache ->
-    (* the cache probe (skeleton fingerprint + structural verify) and
-       slot fill are planning work: charged to the [Plan] attribution
-       phase so the much shorter compiled round-trips don't inflate the
-       unclaimed [other] bucket *)
-    let prepared =
-      Profile.with_phase t.xprof Profile.Plan @@ fun () ->
-      let compiled =
-        match
-          Compile.Cache.get cache ~registry:(Engine.registry t.engine) stmt
-        with
-        | Compile.Cache.Skip -> None
-        | Compile.Cache.Found c ->
-          Telemetry.compile_hit t.tel;
-          Some c
-        | Compile.Cache.Added c ->
-          Telemetry.compile_miss t.tel;
-          Some c
-      in
-      match compiled with
-      | None ->
-        Telemetry.compile_fallback t.tel;
-        None
-      | Some Compile.Fallback ->
-        Telemetry.compile_fallback t.tel;
-        None
-      | Some (Compile.Plan plan) ->
-        let n = Compile.n_slots plan in
-        if Array.length t.slot_buf < n then
-          t.slot_buf <-
-            Array.make
-              (Stdlib.max n (2 * Array.length t.slot_buf))
-              Sqlfun_ast.Ast.Null;
-        let buf = t.slot_buf in
-        let filled =
-          Sqlfun_ast.Ast_util.fold_slots
-            (fun i s ->
-              buf.(i) <- s;
-              i + 1)
-            0 stmt
-        in
-        if filled <> n then begin
-          (* traversal disagreement would mean a skeleton bug; never let
-             it corrupt a verdict — run the interpreter instead *)
-          Telemetry.compile_fallback t.tel;
-          None
-        end
-        else Some (plan, buf)
-    in
-    (match prepared with
-     | None -> Engine.exec_stmt t.engine stmt
-     | Some (plan, buf) -> Engine.exec_compiled t.engine plan buf)
-
 let run_stmt t ?pattern ?case_number stmt =
   classify t ?pattern ?case_number
     ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-    (fun () -> exec_engine t ?pattern stmt)
+    (fun () -> Engine.exec_stmt t.engine stmt)
 
 let run_case t ?case_number (case : Patterns.case) =
   run_stmt t ~pattern:case.Patterns.pattern ?case_number case.Patterns.stmt
@@ -403,160 +321,26 @@ let run_scenario t ?case_number (sc : Patterns.scenario) =
 
 (* ----- slot-stream batched execution -----
 
-   One batch = one skeleton-sharing case family. The per-case fixed
-   overhead the unbatched path pays n times — telemetry span entry,
-   plan-cache probe (skeleton fingerprint + structural verify), full
-   slot refill, and a fresh PoC closure per case — is paid once here;
-   the member loop is fill-window → eval → settle. Soundness: within a
-   batch the probed skeleton and the non-window slots are constant by
-   construction (that is what makes it a family), so hoisting them
-   cannot change any member's verdict; and compiled execution is
-   observably identical to interpretation (values, provenance, tick
-   counts, coverage, fault checks — see compile.ml), so members a batch
-   runs compiled where the unbatched run would still have been warming
-   the admission counter classify identically. Member ASTs are never
-   materialized on the hot path; [Patterns.batch_stmt] rebuilds one
-   lazily when a crash needs its PoC, byte-identical to the unbatched
-   pretty-print because the reconstruction is structurally equal to
-   the unbatched statement. *)
+   One batch = one skeleton-sharing case family: a skeleton plus one
+   slot vector per member. Each member is rebuilt with
+   [Patterns.batch_stmt] — structurally equal to the statement the
+   unbatched stream would have generated — and classified exactly like
+   [run_case], so verdicts, counters, bug records and coverage are the
+   unbatched run's. *)
 let run_batch t ?case_numbers (b : Patterns.batch) =
   let n = Patterns.batch_size b in
   if n > 0 then begin
     Telemetry.batch_flush t.tel ~cases:n;
-    let pattern = b.Patterns.b_pattern in
-    let pat = Pattern_id.to_string pattern in
-    let dialect = t.prof.Dialect.id in
-    (* one probe resolves the whole family; the per-member counters
-       mirror what n unbatched probes of an admitted family record.
-       Without a plan cache (--no-compile) there is nothing to probe and
-       nothing to count. *)
-    let plan =
-      match t.plans with
-      | None -> None
-      | Some cache ->
-        let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
-        let fallbacks k =
-          for _ = 1 to k do Telemetry.compile_fallback t.tel done
+    List.iteri
+      (fun i vec ->
+        let case_number =
+          match case_numbers with Some a -> Some a.(i) | None -> None
         in
-        Profile.with_phase t.xprof Profile.Plan @@ fun () ->
-        let compiled =
-          match
-            Compile.Cache.get_batched cache
-              ~registry:(Engine.registry t.engine) ~count:n
-              b.Patterns.b_skeleton
-          with
-          | Compile.Cache.Skip ->
-            fallbacks n;
-            None
-          | Compile.Cache.Found c ->
-            hits n;
-            Some c
-          | Compile.Cache.Added c ->
-            Telemetry.compile_miss t.tel;
-            hits (n - 1);
-            Some c
-        in
-        (match compiled with
-         | None -> None
-         | Some Compile.Fallback ->
-           fallbacks n;
-           None
-         | Some (Compile.Plan plan) ->
-           if Compile.n_slots plan <> Array.length b.Patterns.b_slots then begin
-             (* traversal disagreement would mean a skeleton bug; never
-                let it corrupt a verdict — run the interpreter instead *)
-             fallbacks n;
-             None
-           end
-           else Some plan)
-    in
-    match plan with
-    | None ->
-      (* no plan (--no-compile, unadmitted or uncompilable family):
-         interpret members one by one *)
-      List.iteri
-        (fun i vec ->
-          let stmt = Patterns.batch_stmt b vec in
-          let case_number =
-            match case_numbers with Some a -> Some a.(i) | None -> None
-          in
-          ignore
-            (classify t ~pattern ?case_number
-               ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-               (fun () -> Engine.exec_stmt t.engine stmt)))
-        b.Patterns.b_vecs
-    | Some plan ->
-      let nslots = Array.length b.Patterns.b_slots in
-      if Array.length t.slot_buf < nslots then
-        t.slot_buf <-
-          Array.make
-            (Stdlib.max nslots (2 * Array.length t.slot_buf))
-            Sqlfun_ast.Ast.Null;
-      let buf = t.slot_buf in
-      (* constant slots land once; the member loop only rewrites the
-         varying window *)
-      Array.blit b.Patterns.b_slots 0 buf 0 nslots;
-      (* one PoC closure for the whole batch: it reads the member
-         vector out of [cur], so clean cases allocate nothing *)
-      let cur = ref b.Patterns.b_slots in
-      let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
-      (* the verdict-counter row is keyed by dialect x pattern, both
-         constant across the batch: resolve it once instead of probing
-         string-keyed tables per member *)
-      let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
-      Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
-          List.iteri
-            (fun i vec ->
-              t.executed <- t.executed + 1;
-              let case_number =
-                match case_numbers with
-                | Some a -> a.(i)
-                | None -> t.executed
-              in
-              Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
-              Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
-              (* the root attribution frame covers the engine round-trip
-                 only, exactly like [classify]'s — widening it over the
-                 verdict bookkeeping would deflate the attribution
-                 ratio *)
-              ignore (Profile.enter_now t.xprof t.xroot Profile.Other);
-              let outcome =
-                match Engine.exec_compiled t.engine plan buf with
-                | r ->
-                  Profile.exit t.xprof;
-                  `Res r
-                | exception Fault.Crash spec ->
-                  Profile.exit t.xprof;
-                  `Crashed spec
-                | exception Stack_overflow ->
-                  Profile.exit t.xprof;
-                  `Blown
-              in
-              cur := vec;
-              let verdict =
-                settle t ~pattern:(Some pattern) ~pat ~dialect ~case_number
-                  ~poc outcome
-              in
-              Telemetry.count_verdict_row t.tel vrow ~dialect ~pattern:pat
-                ~case_number (verdict_class verdict))
-            b.Patterns.b_vecs)
+        ignore
+          (run_stmt t ~pattern:b.Patterns.b_pattern ?case_number
+             (Patterns.batch_stmt b vec)))
+      b.Patterns.b_vecs
   end
-
-let run_cases t ?budget cases =
-  let limit = match budget with Some b -> b | None -> max_int in
-  let count = ref 0 in
-  let rec go cases =
-    if !count >= limit then ()
-    else
-      match Seq.uncons cases with
-      | None -> ()
-      | Some (case, rest) ->
-        incr count;
-        ignore (run_case t case);
-        go rest
-  in
-  go cases;
-  !count
 
 (* Re-derives the sequential New-vs-Dup split from per-shard bug lists.
 

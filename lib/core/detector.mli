@@ -35,7 +35,6 @@ val create :
   ?cov:Sqlfun_coverage.Coverage.t ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?profile:Sqlfun_telemetry.Profile.t ->
-  ?compile:bool ->
   ?compact:bool ->
   Dialect.profile ->
   t
@@ -58,18 +57,6 @@ val create :
     bookkeeping); the engine arm and each in-place reset after a crash
     are ["restart-after-crash"] spans; every verdict bumps the dialect
     x pattern x class counter.
-
-    [compile] (default [true]) enables closure compilation: statements
-    of skeleton-sharing pattern families (where
-    {!Pattern_id.shares_skeleton} holds) are executed
-    compile-once/fill-slots/run through a per-detector plan cache keyed
-    by {!Sqlfun_ast.Ast_util.fingerprint_skeleton}, so every case of a
-    pattern family after the first skips the AST walk. Compiled
-    execution is observably identical to the interpreter (values,
-    coverage, fault sites, ticks, profile attribution); shapes outside
-    the compiled subset fall back to the interpreter. Probes are counted
-    on the telemetry collector
-    ({!Sqlfun_telemetry.Telemetry.compile_counts}).
 
     [compact] (default [true]) enables the compact value
     representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) inside
@@ -102,22 +89,13 @@ val run_scenario : t -> ?case_number:int -> Patterns.scenario -> verdict
     engine). *)
 
 val run_batch : t -> ?case_numbers:int array -> Patterns.batch -> unit
-(** Execute one skeleton-sharing family as a batch: the telemetry
-    span and plan-cache probe are resolved once, and the member loop is fill-window → eval → classify, with
-    no statement ASTs materialized and one PoC closure for the whole
-    batch. Verdicts, counters, bug records, fault sites and coverage
-    are bit-identical to running the members through {!run_case} —
-    the decisions hoisted out of the loop are constant across a
-    family by construction, and compiled execution is observably
-    identical to interpretation. Families without a usable plan
-    (unadmitted, uncompilable, or [compile:false]) fall back to
-    per-member execution, reconstructing each AST lazily.
+(** Execute one skeleton-sharing family: each member's statement is
+    rebuilt from the skeleton and its slot vector
+    ({!Patterns.batch_stmt}) and run through {!run_stmt}, so verdicts,
+    counters, bug records, fault sites and coverage are bit-identical to
+    running the unbatched cases through {!run_case}.
     [case_numbers.(i)] overrides member [i]'s global case number,
     exactly like [case_number] on {!run_case}. *)
-
-val run_cases : t -> ?budget:int -> Patterns.case Seq.t -> int
-(** Executes cases until the sequence or the budget is exhausted; returns
-    the number executed. *)
 
 val executed : t -> int
 (** Every case run. *)

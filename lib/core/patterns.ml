@@ -600,12 +600,11 @@ let count_scenario_positions scenarios =
    case at one (seed, position) differs from its siblings only in a
    contiguous window of literal slots. A batch carries the family
    once — one skeleton statement, its full slot vector, the varying
-   window — plus one small literal vector per case, so the executor
-   can resolve the plan once and run the whole family as fill-window →
-   eval → classify. Any member's full AST is recoverable on demand ([batch_stmt]), and flattening a
-   work stream back to cases ([work_cases]) reproduces the unbatched
-   generator's stream element for element — the equivalence the
-   property tests pin down. *)
+   window — plus one small literal vector per case. Any member's full
+   AST is recoverable ([batch_stmt]), and flattening a work stream back
+   to cases ([work_cases]) reproduces the unbatched generator's stream
+   element for element — the equivalence the property tests pin
+   down. *)
 
 type batch = {
   b_pattern : Pattern_id.t;

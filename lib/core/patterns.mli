@@ -69,9 +69,8 @@ val count_scenario_positions : scenario Seq.t -> int
 
 (** A slot-stream batch: one case family that shares a skeleton —
     every member differs from [b_skeleton] only in the literal window
-    [b_lo, b_lo + b_n) of its {!Ast_util.fold_slots} vector. The
-    executor resolves the compiled plan once per batch and runs members
-    as fill-window → eval → classify; any member's full AST is recoverable with {!batch_stmt}. *)
+    [b_lo, b_lo + b_n) of its {!Ast_util.fold_slots} vector. Each
+    member's full AST is recoverable with {!batch_stmt}. *)
 type batch = {
   b_pattern : Pattern_id.t;
   b_origin : string;
@@ -91,8 +90,8 @@ val work_size : work -> int
 val batch_stmt : batch -> Ast.expr array -> Ast.stmt
 (** [batch_stmt b vec] reconstructs one member's full statement from
     the skeleton and its window vector — structurally equal to what
-    the unbatched generator emitted for that member. Only called off
-    the hot path: PoC pretty-printing, compile fallback, tests. *)
+    the unbatched generator emitted for that member. The detector
+    rebuilds every batch member with it before interpreting it. *)
 
 val batch_cases : batch -> case Seq.t
 (** All members reconstructed, in stream order. *)

@@ -202,16 +202,12 @@ let campaign_to_json (r : Soft_runner.result) =
             ("functions_triggered", Json.Int r.Soft_runner.functions_triggered);
             ("branches_covered", Json.Int r.Soft_runner.branches_covered);
           ] );
-      (* plan-compilation counters are throughput metadata, like
-         [stages]: probes vary with shard count (each shard caches plans
-         privately), so they live OUTSIDE [totals] — determinism checks
+      (* compact-representation counters are throughput metadata, like
+         [stages], so they live OUTSIDE [totals] — determinism checks
          diff [totals], [verdicts], [bugs], [fp_signatures] and
          [families] across jobs/shards/toggle settings, and those must
-         not see them *)
-      ("compile", Telemetry.compile_to_json r.Soft_runner.telemetry);
-      (* compact-representation counters are throughput metadata too:
-         construction/spill counts vary with the [--no-compact] knob
-         while verdicts and bugs do not *)
+         not see them. Construction/spill counts vary with the
+         [--no-compact] knob while verdicts and bugs do not *)
       ("compact", Telemetry.compact_to_json r.Soft_runner.telemetry);
       (* batched-execution counters are throughput metadata too: flush
          and member counts vary with the [--no-batch] knob and with

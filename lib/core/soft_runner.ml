@@ -187,8 +187,8 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
 (* ----- the sequential path (shards = 1) ----- *)
 
 let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(compile = true)
-    ?(compact = true) ?(stateful = true) ?(batch = true) prof =
+    ?(patterns = Pattern_id.all) ?(compact = true) ?(stateful = true)
+    ?(batch = true) prof =
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let t0 = Telemetry.now_ns () in
   (* compact hit/spill cells are domain-local; the whole sequential
@@ -206,9 +206,7 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
     let seeds =
       Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
     in
-    let detector =
-      Detector.create ?cov ~telemetry:tel ~compile ~compact prof
-    in
+    let detector = Detector.create ?cov ~telemetry:tel ~compact prof in
     let progress = Progress.create 1 in
     let recorder =
       Option.map
@@ -283,9 +281,8 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
    [s] is owned by worker [s mod jobs], and a worker executes only the
    items of its own shards, stepping over the rest. A family batch is
    cut into per-shard member slices, each paired with its members'
-   global case numbers, so every shard keeps the one-probe-per-batch
-   economics. The main domain only collects the seeds, runs the pool
-   and merges.
+   global case numbers. The main domain only collects the seeds, runs
+   the pool and merges.
 
    Each worker times its own enumeration: its seed loop runs inside a
    "seed-replay" span and generation inside "generate" spans, both on
@@ -301,9 +298,8 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
    crash records on case number ([Detector.merge_bugs]). *)
 
 let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(compile = true)
-    ?(compact = true) ?(stateful = true) ?(batch = true) ~shards ?jobs
-    prof =
+    ?(patterns = Pattern_id.all) ?(compact = true) ?(stateful = true)
+    ?(batch = true) ~shards ?jobs prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
     match jobs with
@@ -348,7 +344,7 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
             else begin
               let det =
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
-                  ~profile:shard_profiles.(s) ~compile ~compact prof
+                  ~profile:shard_profiles.(s) ~compact prof
               in
               let recorder =
                 Option.map
@@ -502,22 +498,22 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
 
-let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?compile ?compact
-    ?stateful ?batch ?(shards = 1) ?jobs prof =
+let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?compact ?stateful
+    ?batch ?(shards = 1) ?jobs prof =
   if shards <= 1 then
-    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?compile
-      ?compact ?stateful ?batch prof
+    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?compact
+      ?stateful ?batch prof
   else
-    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?compile
-      ?compact ?stateful ?batch ~shards ?jobs prof
+    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?compact
+      ?stateful ?batch ~shards ?jobs prof
 
-let fuzz_all ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
-    ?batch ?(jobs = 1) ?(shards = 1) () =
+let fuzz_all ?budget ?telemetry ?timeseries ?compact ?stateful ?batch
+    ?(jobs = 1) ?(shards = 1) () =
   if jobs <= 1 then
     List.map
       (fun prof ->
-        fuzz ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
-          ?batch ~shards prof)
+        fuzz ?budget ?telemetry ?timeseries ?compact ?stateful ?batch
+          ~shards prof)
       Dialect.all
   else begin
     (* each campaign records into a private collector on its own domain;
@@ -533,8 +529,8 @@ let fuzz_all ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
           Pool.run pool
             (List.map
                (fun prof () ->
-                 fuzz ?budget ?timeseries ?compile ?compact ?stateful
-                   ?batch ~shards prof)
+                 fuzz ?budget ?timeseries ?compact ?stateful ?batch
+                   ~shards prof)
                Dialect.all))
     in
     Option.iter

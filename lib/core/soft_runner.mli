@@ -73,7 +73,6 @@ val fuzz :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->
   ?batch:bool ->
@@ -88,10 +87,10 @@ val fuzz :
     [budget] cases whenever the patterns can supply them.
     [patterns] restricts the pattern set — the ablation knob. Seeds are
     executed first (sanity pass, not counted against the budget).
-    [compile] and [compact] (both default [true]) toggle the detector's
-    closure compilation and compact value representations (see
-    {!Detector.create}); both are throughput-only — verdicts, bugs,
-    coverage and FP signatures are bit-identical with either off.
+    [compact] (default [true]) toggles the detector's compact value
+    representations (see {!Detector.create}); it is throughput-only —
+    verdicts, bugs, coverage and FP signatures are bit-identical with
+    it off.
     [stateful] (default [true]) appends the synthesized stateful
     scenario stream ({!Patterns.generate_scenarios}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
@@ -101,16 +100,14 @@ val fuzz :
     [batch] (default [true]) streams skeleton-sharing pattern families
     as slot-stream batches ({!Patterns.generate_work} /
     {!Detector.run_batch}): one skeleton AST plus slot vectors per
-    family run, with the telemetry span and plan-cache probe resolved
-    once per batch instead of once per case. Throughput-only, like the caches: flattened case streams,
-    verdicts, bug lists (case numbers included), FP signatures and
-    coverage are bit-identical to [batch:false] under any combination
-    of the other toggles and any [shards]/[jobs]; batch counters are
-    reported on the collector
+    family run, each member rebuilt and interpreted like an unbatched
+    case. Flattened case streams, verdicts, bug lists (case numbers
+    included), FP signatures and coverage are bit-identical to
+    [batch:false] under any combination of the other toggles and any
+    [shards]/[jobs]; batch counters are reported on the collector
     ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
     family batch is split by member across shards along the same
-    round-robin single cases follow, so every shard keeps the
-    one-probe-per-batch economics. Compact construction/spill
+    round-robin single cases follow. Compact construction/spill
     counts are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per campaign
     side (per worker domain under sharding).
@@ -153,7 +150,6 @@ val fuzz_sharded :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->
   ?batch:bool ->
@@ -170,7 +166,6 @@ val fuzz_all :
   ?budget:int ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
-  ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->
   ?batch:bool ->

@@ -45,12 +45,6 @@ let exec_stmt t stmt =
       | Interp.Rows rs -> Rows rs
       | Interp.Affected n -> Affected n)
 
-let exec_compiled t plan slots =
-  run t (fun () ->
-      match Compile.exec plan t.env slots with
-      | Interp.Rows rs -> Rows rs
-      | Interp.Affected n -> Affected n)
-
 let parse_stmt_profiled t sql =
   Profile.with_phase t.env.Interp.profile Profile.Parse (fun () ->
       Sqlfun_parse.Parser.parse_stmt sql)

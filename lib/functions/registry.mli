@@ -50,8 +50,8 @@ val invoke_spec :
   Fn_ctx.t -> point:string -> Func_sig.t -> Fault.arg list -> Value.t
 (** The call protocol of {!invoke_scalar} with the lookup already done
     and the coverage point string precomputed ([point] must be
-    ["fn/" ^ spec.name]). The closure compiler resolves specs once per
-    plan and calls this per execution; specs are static data, so a spec
+    ["fn/" ^ spec.name]). The interpreter resolves a call's spec through
+    the registry's memo and calls this; specs are static data, so a spec
     resolved against one dialect registry stays valid across the engine
     restarts of that dialect. *)
 

@@ -160,47 +160,11 @@ val count_verdict :
 (** Bumps the dialect x pattern x class counter and, with a live sink,
     emits a [Verdict] event. *)
 
-type verdict_counter
-(** A pre-resolved dialect x pattern counter row. Both keys are
-    constant across a batch, so the batched member loop resolves the
-    row once and skips the two string-keyed probes {!count_verdict}
-    pays per call. *)
-
-val verdict_counter : t -> dialect:string -> pattern:string -> verdict_counter
-
-val count_verdict_row :
-  t -> verdict_counter -> dialect:string -> pattern:string ->
-  case_number:int -> verdict_class -> unit
-(** Identical observable behaviour to {!count_verdict} on the row's own
-    keys: same counter cell, same [Verdict] event with a live sink. *)
-
 val bug_event :
   t -> dialect:string -> site:string -> kind:string -> pattern:string ->
   case_number:int -> unit
 
 val fp_event : t -> dialect:string -> signature:string -> unit
-
-(** {1 Plan-compilation counters}
-
-    The detector's closure-compilation path records every case here: a
-    {e hit} reused a cached compiled plan, a {e miss} compiled one, and
-    a {e fallback} ran through the interpreter — either the shallow
-    shape/shareability pre-filter turned the statement away before the
-    cache (no hit or miss counted), or a probed statement compiled to
-    [Fallback] (counted as a hit or miss {e and} a fallback). Like stage
-    timings, these are throughput metadata, not determinism-bearing
-    totals. *)
-
-val compile_hit : t -> unit
-val compile_miss : t -> unit
-val compile_fallback : t -> unit
-
-type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
-
-val compile_counts : t -> compile_counts
-
-val compile_hit_rate : t -> float
-(** [hits / (hits + misses)]; [0.] before any probe. *)
 
 val compact_add : t -> hits:int -> spills:int -> unit
 (** Credits a delta of compact-representation constructions (hits) and
@@ -214,7 +178,7 @@ type compact_counts = { k_hits : int; k_spills : int }
 val compact_counts : t -> compact_counts
 
 val batch_flush : t -> cases:int -> unit
-(** Records one family batch run through the batched executor and the
+(** Records one family batch run by [Detector.run_batch] and the
     [cases] member cases it carried. Throughput metadata, not
     determinism-bearing totals — the [--no-batch] diff excludes it. *)
 
@@ -247,8 +211,8 @@ val reclassify_verdict :
 
 val merge_into : dst:t -> t -> unit
 (** Adds the source's stage aggregates (calls, totals, max,
-    histogram buckets), verdict counters and the compile, compact and
-    batch counters into [dst]. *)
+    histogram buckets), verdict counters and the compact and batch
+    counters into [dst]. *)
 
 val merge : t -> t -> t
 (** Fresh collector (null sink) holding the union of both inputs. *)
@@ -259,7 +223,13 @@ type memo_counts = { hits : int; misses : int }
 
 val memo_counts : t -> memo_counts
 (** Always zero: the verdict cache these counted is deleted. Kept only
-    because perfbench reads it; delete with ROADMAP 1(g). *)
+    because perfbench reads it; delete with ROADMAP item 2. *)
+
+type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
+
+val compile_counts : t -> compile_counts
+(** Always zero: the closure compiler these counted is deleted. Kept
+    only because perfbench reads it; delete with ROADMAP item 2. *)
 
 type stage_timing = {
   stage : string;
@@ -295,9 +265,6 @@ val stages_to_json : t -> Json.t
 val verdict_counts_to_json : verdict_counts -> Json.t
 val verdicts_to_json : t -> Json.t
 
-val compile_to_json : t -> Json.t
-(** [{"hits": ..., "misses": ..., "fallbacks": ..., "hit_rate": ...}]. *)
-
 val compact_to_json : t -> Json.t
 (** [{"hits": ..., "spills": ...}]. *)
 
@@ -305,9 +272,9 @@ val batch_to_json : t -> Json.t
 (** [{"flushes": ..., "cases": ...}]. *)
 
 val snapshot_json : t -> Json.t
-(** [{"stages": ..., "verdicts": ..., "compile": ..., "compact": ...,
-    "batch": ...}] — the generic part of a campaign
-    snapshot; callers add their own run-level fields. *)
+(** [{"stages": ..., "verdicts": ..., "compact": ..., "batch": ...}]
+    — the generic part of a campaign snapshot; callers add their own
+    run-level fields. *)
 
 (** {1 Histograms}
 

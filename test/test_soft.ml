@@ -503,40 +503,39 @@ let test_stateful_campaign_reaches_every_stage () =
   Alcotest.(check int) "no storage-stage verdicts when off" 0
     lsv.Soft.Detector.storage
 
-let test_compile_campaign_identical () =
-  (* the compile-soundness bar, over every dialect: closure-compiled
-     execution must be behaviour-invisible — identical verdict JSON,
-     fault sites and the full hit-counted coverage JSON with
-     compilation on vs off. Compiled plans run every case the
-     interpreter would, with the same branch probes, so only
-     throughput metadata may differ: timings and plan-cache
-     counters. *)
-  let open Sqlfun_telemetry in
+(* A throughput toggle's soundness bar, over every dialect: [run ~on]
+   runs a 2,000-case campaign with the toggle on or off, and the two
+   runs must agree on the verdict JSON, bug lists, FP signatures, the
+   full hit-counted coverage JSON and the fault sites (with [points],
+   also on the coverage point list). [check name on off] then makes the
+   toggle's own counter and vacuity checks on each pair. *)
+let check_toggle_invisible ?(points = false) ~run ~check () =
   let deterministic_keys =
     [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
   in
   List.iter
     (fun prof ->
       let name = prof.Dialect.id in
-      let on = Soft.Soft_runner.fuzz ~budget:2_000 ~compile:true prof in
-      let off = Soft.Soft_runner.fuzz ~budget:2_000 ~compile:false prof in
+      let on = run ~on:true prof in
+      let off = run ~on:false prof in
       let jon = Soft.Report.campaign_to_json on
       and joff = Soft.Report.campaign_to_json off in
       List.iter
         (fun key ->
           let get j =
-            match Json.member key j with
-            | Some v -> Json.to_string v
+            match Sqlfun_telemetry.Json.member key j with
+            | Some v -> Sqlfun_telemetry.Json.to_string v
             | None -> Alcotest.failf "%s: report lacks %S" name key
           in
           Alcotest.(check string)
             (Printf.sprintf "%s: %s identical" name key)
             (get joff) (get jon))
         deterministic_keys;
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": coverage points identical")
-        (Sqlfun_coverage.Coverage.points off.Soft.Soft_runner.coverage)
-        (Sqlfun_coverage.Coverage.points on.Soft.Soft_runner.coverage);
+      if points then
+        Alcotest.(check (list (pair string int)))
+          (name ^ ": coverage points identical")
+          (Sqlfun_coverage.Coverage.points off.Soft.Soft_runner.coverage)
+          (Sqlfun_coverage.Coverage.points on.Soft.Soft_runner.coverage);
       let sites (r : Soft.Soft_runner.result) =
         List.map
           (fun (b : Soft.Detector.found_bug) ->
@@ -546,70 +545,26 @@ let test_compile_campaign_identical () =
       Alcotest.(check (list (pair string int)))
         (name ^ ": fault sites identical")
         (sites off) (sites on);
-      (* the property is vacuous unless compiled plans actually ran *)
-      let counts = Telemetry.compile_counts on.Soft.Soft_runner.telemetry in
-      Alcotest.(check bool)
-        (name ^ ": compiled plans were reused")
-        true
-        (counts.Telemetry.c_hits > 0);
-      let counts_off =
-        Telemetry.compile_counts off.Soft.Soft_runner.telemetry
-      in
-      Alcotest.(check int)
-        (name ^ ": compile-off never probes the plan cache")
-        0
-        (counts_off.Telemetry.c_hits + counts_off.Telemetry.c_misses))
+      check name on off)
     Dialect.all
 
 let test_compact_campaign_identical () =
-  (* the compact-representation soundness bar, over every dialect:
-     range-array and rope-string values must be behaviour-invisible.
+  (* range-array and rope-string values must be behaviour-invisible.
      Every branch probe and tick survives on the compact paths, so the
      full coverage JSON (hit counts included) is held identical, not
      just the point set. *)
   let open Sqlfun_telemetry in
-  let deterministic_keys =
-    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
-  in
   let total_hits = ref 0 in
-  List.iter
-    (fun prof ->
-      let name = prof.Dialect.id in
-      let on = Soft.Soft_runner.fuzz ~budget:2_000 ~compact:true prof in
-      let off = Soft.Soft_runner.fuzz ~budget:2_000 ~compact:false prof in
-      let jon = Soft.Report.campaign_to_json on
-      and joff = Soft.Report.campaign_to_json off in
-      List.iter
-        (fun key ->
-          let get j =
-            match Json.member key j with
-            | Some v -> Json.to_string v
-            | None -> Alcotest.failf "%s: report lacks %S" name key
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s identical" name key)
-            (get joff) (get jon))
-        deterministic_keys;
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": coverage points identical")
-        (Sqlfun_coverage.Coverage.points off.Soft.Soft_runner.coverage)
-        (Sqlfun_coverage.Coverage.points on.Soft.Soft_runner.coverage);
-      let sites (r : Soft.Soft_runner.result) =
-        List.map
-          (fun (b : Soft.Detector.found_bug) ->
-            (b.Soft.Detector.spec.Fault.site, b.Soft.Detector.case_number))
-          r.Soft.Soft_runner.bugs
-      in
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": fault sites identical")
-        (sites off) (sites on);
+  check_toggle_invisible ~points:true
+    ~run:(fun ~on prof -> Soft.Soft_runner.fuzz ~budget:2_000 ~compact:on prof)
+    ~check:(fun name on off ->
       let kon = Telemetry.compact_counts on.Soft.Soft_runner.telemetry in
       total_hits := !total_hits + kon.Telemetry.k_hits;
       let koff = Telemetry.compact_counts off.Soft.Soft_runner.telemetry in
       Alcotest.(check int)
         (name ^ ": compact-off builds no compact values")
         0 koff.Telemetry.k_hits)
-    Dialect.all;
+    ();
   (* the property is vacuous unless compact values actually flowed *)
   Alcotest.(check bool) "compact values were built" true (!total_hits > 0)
 
@@ -671,45 +626,15 @@ let test_batch_stream_equivalence () =
     Dialect.all
 
 let test_batch_campaign_identical () =
-  (* the batch soundness bar at the campaign layer, over every dialect:
-     slot-stream batched execution must be behaviour-invisible —
-     identical verdict JSON, bug lists, FP signatures, and the full
-     hit-counted coverage JSON (batching hoists decisions that are
-     constant across a family; it never skips or reorders an engine
-     round-trip, so it cannot shift hit counts). The
-     budget forces {!Soft.Soft_runner.split_budget} shares through
-     mid-family cuts, so batch splitting is exercised too. *)
+  (* slot-stream batched execution must be behaviour-invisible: every
+     member is rebuilt and interpreted exactly like its unbatched case,
+     so not even a coverage hit count may shift. The budget forces
+     {!Soft.Soft_runner.split_budget} shares through mid-family cuts,
+     so batch splitting is exercised too. *)
   let open Sqlfun_telemetry in
-  let deterministic_keys =
-    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
-  in
-  List.iter
-    (fun prof ->
-      let name = prof.Dialect.id in
-      let on = Soft.Soft_runner.fuzz ~budget:2_000 ~batch:true prof in
-      let off = Soft.Soft_runner.fuzz ~budget:2_000 ~batch:false prof in
-      let jon = Soft.Report.campaign_to_json on
-      and joff = Soft.Report.campaign_to_json off in
-      List.iter
-        (fun key ->
-          let get j =
-            match Json.member key j with
-            | Some v -> Json.to_string v
-            | None -> Alcotest.failf "%s: report lacks %S" name key
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s identical" name key)
-            (get joff) (get jon))
-        deterministic_keys;
-      let sites (r : Soft.Soft_runner.result) =
-        List.map
-          (fun (b : Soft.Detector.found_bug) ->
-            (b.Soft.Detector.spec.Fault.site, b.Soft.Detector.case_number))
-          r.Soft.Soft_runner.bugs
-      in
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": fault sites identical")
-        (sites off) (sites on);
+  check_toggle_invisible
+    ~run:(fun ~on prof -> Soft.Soft_runner.fuzz ~budget:2_000 ~batch:on prof)
+    ~check:(fun name on off ->
       (* the property is vacuous unless batches actually executed *)
       let bon = Telemetry.batch_counts on.Soft.Soft_runner.telemetry in
       Alcotest.(check bool)
@@ -720,7 +645,7 @@ let test_batch_campaign_identical () =
         (name ^ ": batch-off executes no batches")
         0
         (boff.Telemetry.b_flushes + boff.Telemetry.b_cases))
-    Dialect.all
+    ()
 
 (* ----- baselines ----- *)
 
@@ -797,8 +722,6 @@ let suite =
         test_crash_reset_in_place;
       Alcotest.test_case "stateful campaign reaches every stage" `Slow
         test_stateful_campaign_reaches_every_stage;
-      Alcotest.test_case "compiled campaign identical (all dialects)" `Slow
-        test_compile_campaign_identical;
       Alcotest.test_case "compact campaign identical (all dialects)" `Slow
         test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow
