@@ -53,10 +53,8 @@ type campaign_timing = {
   wall_s_plain : float;
       (* a fresh plain sweep without the observatory's instrumentation
          (no shared collector, no recorders) — the baseline of the
-         compact and batch ratios *)
+         batch ratio *)
   plain_deterministic : bool;
-  wall_s_nocompact : float;   (* same sequential sweep, ~compact:false *)
-  compact_deterministic : bool;
   wall_s_batch : float;
       (* the default pipeline: slot-stream batched execution on — the
          only timed leg where [~batch] is not pinned off *)
@@ -75,10 +73,6 @@ type campaign_timing = {
   per_dialect : (string * float * int) list;
       (* (dialect, wall_s, cases) of each baseline campaign — the
          per-dialect ns/case denominators *)
-  prof_boxed : Profile.t;
-      (* merged attribution of the compact-off sweep ("before") *)
-  prof_compact : Profile.t;
-      (* merged attribution of a plain default sweep ("after") *)
   parallel : parallel_run option;
       (* [None] when the host has one core: a jobs>1 rerun there only
          measures domain coordination overhead, and reporting its ratio
@@ -96,7 +90,7 @@ type observatory = {
 
 (* The full runs of the exhaustive campaign: the instrumented
    sequential baseline (its stage timings feed the trajectory artifact,
-   as before), plain, compact-off, batched and stateful legs, and — on
+   as before), plain, batched and stateful legs, and — on
    multi-core hosts only — a multi-domain run at jobs = 4. Every leg is
    checked field-for-field against the baseline — a speedup is only
    worth reporting if the answers agree.
@@ -185,10 +179,10 @@ let campaign tel =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* a plain sweep under the same conditions as the compact-off and
-     batched legs (no shared collector, no timeseries recorders), so
-     their ratios compare like-for-like runs instead of reusing the
-     instrumented observatory baseline *)
+  (* a plain sweep under the same conditions as the batched leg (no
+     shared collector, no timeseries recorders), so its ratio compares
+     like-for-like runs instead of reusing the instrumented observatory
+     baseline *)
   let plain_results, p1 =
     timed_leg (fun () ->
         Soft.Soft_runner.fuzz_all ~stateful:false ~batch:false ())
@@ -217,37 +211,6 @@ let campaign tel =
   in
   Printf.printf "\nplain sweep: %.1f s (results %s)\n" plain_s
     (if plain_deterministic then "identical" else "DIVERGED");
-  (* the compact-representation before/after: a ~compact:false sweep
-     materializes every RANGE array and REPEAT/pad string eagerly — the
-     pre-PR-8 pipeline. Its merged attribution profile is the "before"
-     half of the hottest-function table in the telemetry artifact (the
-     plain leg is "after"). *)
-  let nocompact_results, kc1 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false ~batch:false)
-  in
-  let nocompact_results2, kc2 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false ~batch:false)
-  in
-  let nocompact_s = Float.min kc1 kc2 in
-  let compact_deterministic =
-    List.for_all2 same_result results nocompact_results
-    && List.for_all2 same_result results nocompact_results2
-  in
-  let merge_profiles rs =
-    let p = Profile.create () in
-    List.iter
-      (fun (r : Soft.Soft_runner.result) ->
-        Profile.merge_into ~dst:p r.Soft.Soft_runner.profile)
-      rs;
-    p
-  in
-  Printf.printf
-    "compact values: %.1f s with, %.1f s without (%.2fx, results %s)\n"
-    plain_s nocompact_s
-    (if plain_s > 0. then nocompact_s /. plain_s else 0.)
-    (if compact_deterministic then "identical" else "DIVERGED");
   (* the batched before/after: every pinned leg above runs the
      historical per-case pipeline, so the plain leg doubles as the
      unbatched baseline under identical conditions (no shared
@@ -355,8 +318,6 @@ let campaign tel =
       wall_s_sequential = seq_s;
       wall_s_plain = plain_s;
       plain_deterministic;
-      wall_s_nocompact = nocompact_s;
-      compact_deterministic;
       wall_s_batch = batch_s;
       batch_deterministic;
       batch_cases;
@@ -366,8 +327,6 @@ let campaign tel =
       stateful_prereqs;
       stateful_stages;
       per_dialect = List.rev !dialect_walls;
-      prof_boxed = merge_profiles nocompact_results;
-      prof_compact = merge_profiles plain_results;
       parallel;
       cores;
     },
@@ -678,13 +637,6 @@ let write_telemetry tel results timing obs ~member_unbatched_ns
           match timing.parallel with
           | Some p -> Json.Bool p.parallel_deterministic
           | None -> Json.Null );
-        ("wall_s_nocompact", Json.Float timing.wall_s_nocompact);
-        ( "compact_speedup",
-          Json.Float
-            (if timing.wall_s_plain > 0. then
-               timing.wall_s_nocompact /. timing.wall_s_plain
-             else 0.) );
-        ("compact_deterministic", Json.Bool timing.compact_deterministic);
         (* the batched before/after: wall_s_nobatch is the plain leg
            (every pinned leg runs the per-case pipeline, so it is the
            like-for-like unbatched baseline). Only ~30% of the
@@ -728,40 +680,6 @@ let write_telemetry tel results timing obs ~member_unbatched_ns
               ( "storage",
                 Json.Int timing.stateful_stages.Soft.Detector.storage );
             ] );
-        (* the top-10 hottest dialect x function keys of the eager
-           ("boxed") sweep, with the self-time the same key costs once
-           compact representations are on — the per-function receipt for
-           the compact_speedup headline *)
-        ( "hot_functions_self_ms",
-          Json.Arr
-            (List.map
-               (fun (ft : Profile.fn_total) ->
-                 let self_ms p =
-                   let ns =
-                     List.fold_left
-                       (fun acc (r : Profile.row) ->
-                         if
-                           r.Profile.r_dialect = ft.Profile.ft_dialect
-                           && r.Profile.r_func = ft.Profile.ft_func
-                         then acc + r.Profile.r_self_ns
-                         else acc)
-                       0 (Profile.rows p)
-                   in
-                   float_of_int ns /. 1e6
-                 in
-                 let before = float_of_int ft.Profile.ft_self_ns /. 1e6 in
-                 let after = self_ms timing.prof_compact in
-                 Json.Obj
-                   [
-                     ("dialect", Json.Str ft.Profile.ft_dialect);
-                     ("func", Json.Str ft.Profile.ft_func);
-                     ("self_ms_boxed", Json.Float before);
-                     ("self_ms_compact", Json.Float after);
-                     ( "speedup",
-                       Json.Float (if after > 0. then before /. after else 0.)
-                     );
-                   ])
-               (Profile.hottest ~n:10 timing.prof_boxed)) );
         ("stages", Telemetry.stages_to_json tel);
         ("verdicts", Telemetry.verdicts_to_json tel);
         ("compact", Telemetry.compact_to_json tel);

@@ -20,9 +20,18 @@ let dialect_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIALECT" ~doc)
 
+(* a negative count is a usage error, not "exhaust" or "auto" *)
+let count =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 -> Error (`Msg "expected a non-negative integer")
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let budget_arg default =
   let doc = "Maximum number of generated statements to execute (0 = exhaust)." in
-  Arg.(value & opt int default & info [ "budget"; "b" ] ~doc)
+  Arg.(value & opt count default & info [ "budget"; "b" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -31,7 +40,7 @@ let jobs_arg =
      count). Verdicts, bug lists and FP signatures are bit-identical \
      at any job count; only wall time changes."
   in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt count 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
@@ -41,7 +50,7 @@ let shards_arg =
      them too would oversubscribe the cores). More shards than jobs is \
      fine; 1 shard is the sequential pipeline."
   in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
+  Arg.(value & opt count 0 & info [ "shards" ] ~docv:"K" ~doc)
 
 (* 0-valued knobs resolve to the machine: jobs defaults to the core
    count, shards to the job count (one shard per worker). *)
@@ -55,15 +64,6 @@ let trace_arg =
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Stream telemetry events (spans, verdicts, bugs, FP \
                  signatures) to $(docv) as JSON lines.")
-
-let no_compact_arg =
-  Arg.(value & flag
-       & info [ "no-compact" ]
-           ~doc:"Disable compact value representations (RANGE results \
-                 and repeated/padded strings are materialized eagerly \
-                 instead of lazily). Verdicts, bug lists and FP \
-                 signatures are bit-identical with compaction on or \
-                 off; the flag exists to verify that and to time it.")
 
 let no_batch_arg =
   Arg.(value & flag
@@ -192,7 +192,7 @@ let progress_renderer dialect_id =
     Mutex.unlock m
 
 let fuzz_cmd =
-  let run dialect budget jobs shards no_compact no_stateful no_batch
+  let run dialect budget jobs shards no_stateful no_batch
       verbose report trace json profile_out timeseries_out progress =
     match resolve_dialect dialect with
     | Error msg ->
@@ -225,8 +225,7 @@ let fuzz_cmd =
           in
           let r =
             Soft.Soft_runner.fuzz ?budget ~telemetry:tel ?timeseries
-              ~compact:(not no_compact) ~stateful:(not no_stateful)
-              ~batch:(not no_batch) ~shards ~jobs prof
+              ~stateful:(not no_stateful) ~batch:(not no_batch) ~shards ~jobs prof
           in
           if progress then prerr_newline ();
           Option.iter close_out ts_oc;
@@ -298,7 +297,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a SOFT campaign against a simulated dialect")
     Term.(const run $ dialect_arg $ budget_arg 0 $ jobs_arg $ shards_arg
-          $ no_compact_arg $ no_stateful_arg $ no_batch_arg $ verbose $ report
+          $ no_stateful_arg $ no_batch_arg $ verbose $ report
           $ trace_arg $ json_arg $ profile_arg $ timeseries_arg $ progress_arg)
 
 let study_cmd =

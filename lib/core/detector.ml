@@ -62,7 +62,7 @@ let coverage_since cov before =
          if d > 0 then Some (point, d) else None)
   |> Array.of_list
 
-let create ?cov ?telemetry ?profile ?(compact = true) prof =
+let create ?cov ?telemetry ?profile prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
@@ -73,7 +73,7 @@ let create ?cov ?telemetry ?profile ?(compact = true) prof =
   let engine =
     Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
       (fun () ->
-        Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
+        Dialect.make_engine ~cov ~armed:true ~profile:xprof prof)
   in
   {
     prof;

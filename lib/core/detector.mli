@@ -35,7 +35,6 @@ val create :
   ?cov:Sqlfun_coverage.Coverage.t ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?profile:Sqlfun_telemetry.Profile.t ->
-  ?compact:bool ->
   Dialect.profile ->
   t
 (** Builds an armed engine for the profile (reset in place after each
@@ -56,12 +55,7 @@ val create :
     span (the engine round-trip) plus a ["detect"] span (verdict
     bookkeeping); the engine arm and each in-place reset after a crash
     are ["restart-after-crash"] spans; every verdict bumps the dialect
-    x pattern x class counter.
-
-    [compact] (default [true]) enables the compact value
-    representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) inside
-    the engine; verdicts, coverage and fault sites are
-    representation-independent either way. *)
+    x pattern x class counter. *)
 
 val run_sql :
   t -> ?pattern:Pattern_id.t -> ?case_number:int -> string -> verdict

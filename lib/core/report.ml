@@ -202,12 +202,8 @@ let campaign_to_json (r : Soft_runner.result) =
             ("functions_triggered", Json.Int r.Soft_runner.functions_triggered);
             ("branches_covered", Json.Int r.Soft_runner.branches_covered);
           ] );
-      (* compact-representation counters are throughput metadata, like
-         [stages], so they live OUTSIDE [totals] — determinism checks
-         diff [totals], [verdicts], [bugs], [fp_signatures] and
-         [families] across jobs/shards/toggle settings, and those must
-         not see them. Construction/spill counts vary with the
-         [--no-compact] knob while verdicts and bugs do not *)
+      (* compact-representation counters say how values were spelled,
+         not what the campaign found, so they live OUTSIDE [totals] *)
       ("compact", Telemetry.compact_to_json r.Soft_runner.telemetry);
       (* batched-execution counters are throughput metadata too: flush
          and member counts vary with the [--no-batch] knob and with

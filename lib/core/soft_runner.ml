@@ -187,8 +187,7 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
 (* ----- the sequential path (shards = 1) ----- *)
 
 let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(compact = true) ?(stateful = true)
-    ?(batch = true) prof =
+    ?(patterns = Pattern_id.all) ?(stateful = true) ?(batch = true) prof =
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let t0 = Telemetry.now_ns () in
   (* compact hit/spill cells are domain-local; the whole sequential
@@ -206,7 +205,7 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
     let seeds =
       Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
     in
-    let detector = Detector.create ?cov ~telemetry:tel ~compact prof in
+    let detector = Detector.create ?cov ~telemetry:tel prof in
     let progress = Progress.create 1 in
     let recorder =
       Option.map
@@ -298,8 +297,8 @@ let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
    crash records on case number ([Detector.merge_bugs]). *)
 
 let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(compact = true) ?(stateful = true)
-    ?(batch = true) ~shards ?jobs prof =
+    ?(patterns = Pattern_id.all) ?(stateful = true) ?(batch = true) ~shards
+    ?jobs prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
     match jobs with
@@ -344,8 +343,11 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
             else begin
               let det =
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
-                  ~profile:shard_profiles.(s) ~compact prof
+                  ~profile:shard_profiles.(s) prof
               in
+              (* a sequential campaign records the arming coverage once,
+                 so only shard 0 keeps it; restarts still credit it *)
+              if s > 0 then Coverage.reset shard_covs.(s);
               let recorder =
                 Option.map
                   (fun cfg ->
@@ -498,22 +500,21 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
 
-let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?compact ?stateful
-    ?batch ?(shards = 1) ?jobs prof =
+let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?stateful ?batch
+    ?(shards = 1) ?jobs prof =
   if shards <= 1 then
-    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?compact
-      ?stateful ?batch prof
+    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?stateful
+      ?batch prof
   else
-    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?compact
-      ?stateful ?batch ~shards ?jobs prof
+    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?stateful
+      ?batch ~shards ?jobs prof
 
-let fuzz_all ?budget ?telemetry ?timeseries ?compact ?stateful ?batch
-    ?(jobs = 1) ?(shards = 1) () =
+let fuzz_all ?budget ?telemetry ?timeseries ?stateful ?batch ?(jobs = 1)
+    ?(shards = 1) () =
   if jobs <= 1 then
     List.map
       (fun prof ->
-        fuzz ?budget ?telemetry ?timeseries ?compact ?stateful ?batch
-          ~shards prof)
+        fuzz ?budget ?telemetry ?timeseries ?stateful ?batch ~shards prof)
       Dialect.all
   else begin
     (* each campaign records into a private collector on its own domain;
@@ -529,8 +530,7 @@ let fuzz_all ?budget ?telemetry ?timeseries ?compact ?stateful ?batch
           Pool.run pool
             (List.map
                (fun prof () ->
-                 fuzz ?budget ?timeseries ?compact ?stateful ?batch
-                   ~shards prof)
+                 fuzz ?budget ?timeseries ?stateful ?batch ~shards prof)
                Dialect.all))
     in
     Option.iter

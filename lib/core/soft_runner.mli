@@ -73,7 +73,6 @@ val fuzz :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?compact:bool ->
   ?stateful:bool ->
   ?batch:bool ->
   ?shards:int ->
@@ -87,10 +86,6 @@ val fuzz :
     [budget] cases whenever the patterns can supply them.
     [patterns] restricts the pattern set — the ablation knob. Seeds are
     executed first (sanity pass, not counted against the budget).
-    [compact] (default [true]) toggles the detector's compact value
-    representations (see {!Detector.create}); it is throughput-only —
-    verdicts, bugs, coverage and FP signatures are bit-identical with
-    it off.
     [stateful] (default [true]) appends the synthesized stateful
     scenario stream ({!Patterns.generate_scenarios}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
@@ -150,7 +145,6 @@ val fuzz_sharded :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?compact:bool ->
   ?stateful:bool ->
   ?batch:bool ->
   shards:int ->
@@ -166,7 +160,6 @@ val fuzz_all :
   ?budget:int ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
-  ?compact:bool ->
   ?stateful:bool ->
   ?batch:bool ->
   ?jobs:int ->

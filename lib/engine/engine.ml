@@ -11,8 +11,8 @@ type exec_error =
 
 type outcome = Rows of Interp.result_set | Affected of int
 
-let create ?cov ?fault ?cast_cfg ?limits ?compact ?profile ~registry ~dialect () =
-  let ctx = Fn_ctx.create ?cov ?fault ?cast_cfg ?limits ?compact ~dialect () in
+let create ?cov ?fault ?cast_cfg ?limits ?profile ~registry ~dialect () =
+  let ctx = Fn_ctx.create ?cov ?fault ?cast_cfg ?limits ~dialect () in
   let profile =
     match profile with Some p -> p | None -> Profile.create ()
   in

@@ -24,7 +24,6 @@ val create :
   ?fault:Sqlfun_fault.Fault.runtime ->
   ?cast_cfg:Cast.config ->
   ?limits:Fn_ctx.limits ->
-  ?compact:bool ->
   ?profile:Sqlfun_telemetry.Profile.t ->
   registry:Registry.t ->
   dialect:string ->
@@ -33,10 +32,7 @@ val create :
 (** [profile] receives execute-stage attribution (parse / plan / eval /
     storage scopes); a fresh private profiler when omitted. The detector
     passes its campaign profiler so engine restarts keep charging the
-    same keys. [compact] (default true) enables the compact value
-    representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) on
-    producer hot paths; verdicts are representation-independent either
-    way. *)
+    same keys. *)
 
 val context : t -> Fn_ctx.t
 val registry : t -> Registry.t

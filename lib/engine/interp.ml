@@ -471,9 +471,7 @@ and eval_binop env ~row op a b =
     if Value.is_null va || Value.is_null vb then ret Value.Null
     else begin
       match (Value.str_bytes va, Value.str_bytes vb) with
-      | Some la, Some lb
-        when env.ctx.Fn_ctx.compact
-             && la + lb >= Value.Compact.min_str_bytes ->
+      | Some la, Some lb when la + lb >= Value.Compact.min_str_bytes ->
         (* both operands are strings, so the byte total — and the cap
            check it feeds — is exactly the flat concatenation's; the
            result stays compact *)

@@ -66,7 +66,7 @@ type numeric_acc = {
   mutable rows : int64;
 }
 
-let numeric_step ctx name acc v =
+let rec numeric_step ctx name acc v =
   match v with
   | Value.Null -> ()
   | Value.Int i ->
@@ -99,6 +99,7 @@ let numeric_step ctx name acc v =
        acc.use_float <- true;
        acc.float_sum <- Decimal.to_float acc.dec_sum +. acc.float_sum +. f;
        acc.dec_sum <- Decimal.zero)
+  | Value.Rope_str _ -> numeric_step ctx name acc (Value.view v)
   | v -> err "%s: cannot aggregate %s" name (Value.ty_name (Value.type_of v))
 
 let fresh_acc () =

@@ -517,42 +517,41 @@ let test_tail_array_cond () =
 
 (* ----- compact representations ----- *)
 
-let no_compact_engine =
-  lazy
-    (Engine.create ~registry:(All_fns.registry ()) ~compact:false
-       ~cast_cfg:{ Cast.strictness = Cast.Strict; json_max_depth = Some 512 }
-       ~dialect:"unit-nocompact" ())
+(* the engine builds compact values on these shapes; each consumer must
+   display exactly what it displays over the eager spelling, written as
+   an ARRAY or string literal *)
+let rep s n = String.concat "" (List.init n (fun _ -> s))
+let lit s = "'" ^ s ^ "'"
+let wrap pre post (c, e) = (pre ^ c ^ post, pre ^ e ^ post)
 
-let eval_boxed expr =
-  match Engine.eval_expr_sql (Lazy.force no_compact_engine) expr with
-  | Ok v -> Value.to_display v
-  | Error err -> "!" ^ Engine.error_to_string err
-
-(* the default engine builds compact values on these shapes; the
-   no-compact engine materializes eagerly — every display must agree *)
 let test_compact_observational () =
+  let range n =
+    (Printf.sprintf "RANGE(%d)" n, "ARRAY[" ^ String.concat ", " (List.init n string_of_int) ^ "]")
+  and repeat s n = (Printf.sprintf "REPEAT('%s', %d)" s n, lit (rep s n)) in
   List.iter
-    (fun expr -> Alcotest.(check string) expr (eval_boxed expr) (eval expr))
+    (fun (compact, eager) ->
+      Alcotest.(check string) compact (eval eager) (eval compact))
     [
-      "RANGE(500)";
-      "ARRAY_REVERSE(RANGE(300))";
-      "ARRAY_SLICE(RANGE(1000), 5, 600)";
-      "ARRAY_SLICE(RANGE(1000), 900, 500)";
-      "ELEMENT_AT(RANGE(2000), 1999)";
-      "ARRAY_ELEMENT(RANGE(2000), -1)";
-      "ARRAY_MIN(RANGE(5000))";
-      "ARRAY_MAX(RANGE(5000))";
-      "ARRAY_LENGTH(RANGE(5000))";
-      "REPEAT('ab', 3000)";
-      "LENGTH(REPEAT('ab', 3000))";
-      "CHAR_LENGTH(REPEAT('\xc3\xa9', 3000))";
-      "LPAD('x', 5000, 'ab')";
-      "RPAD('x', 5000, 'yz')";
-      "LENGTH(SPACE(5000))";
-      "CONCAT(REPEAT('a', 3000), REPEAT('b', 3000))";
-      "UPPER(REPEAT('ab', 3000))";
-      "SUBSTRING(REPEAT('abc', 2000), 5999, 4)";
-      "REVERSE(REPEAT('ab', 2500))";
+      range 500;
+      wrap "ARRAY_REVERSE(" ")" (range 300);
+      wrap "ARRAY_SLICE(" ", 5, 600)" (range 1000);
+      wrap "ARRAY_SLICE(" ", 900, 500)" (range 1000);
+      wrap "ELEMENT_AT(" ", 1999)" (range 2000);
+      wrap "ARRAY_ELEMENT(" ", -1)" (range 2000);
+      wrap "ARRAY_MIN(" ")" (range 5000);
+      wrap "ARRAY_MAX(" ")" (range 5000);
+      wrap "ARRAY_LENGTH(" ")" (range 5000);
+      repeat "ab" 3000;
+      wrap "LENGTH(" ")" (repeat "ab" 3000);
+      wrap "CHAR_LENGTH(" ")" (repeat "\xc3\xa9" 3000);
+      ("LPAD('x', 5000, 'ab')", lit (rep "ab" 2499 ^ "ax"));
+      ("RPAD('x', 5000, 'yz')", lit ("x" ^ rep "yz" 2499 ^ "y"));
+      ("LENGTH(SPACE(5000))", "LENGTH(" ^ lit (String.make 5000 ' ') ^ ")");
+      ( "CONCAT(REPEAT('a', 3000), REPEAT('b', 3000))",
+        lit (String.make 3000 'a' ^ String.make 3000 'b') );
+      wrap "UPPER(" ")" (repeat "ab" 3000);
+      wrap "SUBSTRING(" ", 5999, 4)" (repeat "abc" 2000);
+      wrap "REVERSE(" ")" (repeat "ab" 2500);
     ]
 
 (* spill paths exactly at the resource caps: at-cap succeeds through
@@ -570,13 +569,7 @@ let test_compact_resource_boundaries () =
   check "LENGTH(LPAD('x', 8000000, 'ab'))" "8000000";
   check_err "LPAD('x', 8000001, 'ab')";
   check "LENGTH(SPACE(8000000))" "8000000";
-  check_err "SPACE(8000001)";
-  (* the no-compact engine enforces the identical boundaries *)
-  Alcotest.(check string) "boxed at-cap repeat" "8000000"
-    (eval_boxed "LENGTH(REPEAT('ab', 4000000))");
-  Alcotest.(check bool) "boxed over-cap repeat errors" true
-    (String.length (eval_boxed "REPEAT('ab', 4000001)") > 0
-     && (eval_boxed "REPEAT('ab', 4000001)").[0] = '!')
+  check_err "SPACE(8000001)"
 
 let suite =
   ( "functions",

@@ -239,10 +239,7 @@ let bug_key (b : Soft.Detector.found_bug) =
     b.Soft.Detector.found_by,
     b.Soft.Detector.poc )
 
-(* every deterministic field of a campaign result, for field-for-field
-   comparison (coverage hit counts are excluded by design: k shard
-   engines arm independently, which inflates arming-path hit counts —
-   the distinct point sets still agree and are compared) *)
+(* every deterministic field of a campaign result, hit counts included *)
 let result_key (r : Soft.Soft_runner.result) =
   ( ( r.Soft.Soft_runner.seeds_collected,
       r.Soft.Soft_runner.positions,
@@ -259,7 +256,7 @@ let result_key (r : Soft.Soft_runner.result) =
     ( List.map bug_key r.Soft.Soft_runner.bugs,
       r.Soft.Soft_runner.functions_triggered,
       r.Soft.Soft_runner.branches_covered,
-      List.map fst (Coverage.points r.Soft.Soft_runner.coverage) ) )
+      Coverage.points r.Soft.Soft_runner.coverage ) )
 
 let verdict_key tel =
   List.map
@@ -448,9 +445,8 @@ let test_budget_cuts_mid_family () =
      one 41-member family and gets a ceil(b/11) share of an 11-stream
      budget), so shards see slices of cut batches; duckdb finds bugs in
      batched families (P1.3, P1.4) within such budgets. Every
-     deterministic output must still equal the sequential run's.
-     Coverage hit counts differ only by the arming hits of the extra
-     shard engines. *)
+     deterministic output, coverage hit counts included, must still
+     equal the sequential run's. *)
   let prof = Dialect.find_exn "duckdb" in
   let registry = Dialect.registry prof in
   let seeds =
@@ -462,7 +458,6 @@ let test_budget_cuts_mid_family () =
     | Some (Soft.Patterns.Batched b, _) -> Soft.Patterns.batch_size b
     | _ -> Alcotest.fail "P1.1 does not start with a family batch"
   in
-  let arming = Soft.Detector.arming_coverage (Soft.Detector.create prof) in
   let sequential = Hashtbl.create 16 in
   let seq_run budget =
     match Hashtbl.find_opt sequential budget with
@@ -472,18 +467,8 @@ let test_budget_cuts_mid_family () =
       Hashtbl.add sequential budget r;
       r
   in
-  let key ~shards (r : Soft.Soft_runner.result) =
-    let hits =
-      List.map
-        (fun (p, n) ->
-          let armed = Option.value ~default:0 (List.assoc_opt p arming) in
-          (p, n - ((shards - 1) * armed)))
-        (Coverage.points r.Soft.Soft_runner.coverage)
-    in
-    ( List.map bug_key r.Soft.Soft_runner.bugs,
-      verdict_key r.Soft.Soft_runner.telemetry,
-      r.Soft.Soft_runner.fp_signatures,
-      hits )
+  let key (r : Soft.Soft_runner.result) =
+    (result_key r, verdict_key r.Soft.Soft_runner.telemetry)
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:30 ~name:"budget cut mid-family"
@@ -492,8 +477,8 @@ let test_budget_cuts_mid_family () =
            (oneofl [ 1; 2; 3 ]))
        (fun (budget, shards, jobs) ->
          assert (List.hd (Soft.Soft_runner.split_budget budget 11) < family);
-         key ~shards:1 (seq_run budget)
-         = key ~shards (Soft.Soft_runner.fuzz ~budget ~shards ~jobs prof)))
+         key (seq_run budget)
+         = key (Soft.Soft_runner.fuzz ~budget ~shards ~jobs prof)))
 
 let suite =
   ( "parallel",
