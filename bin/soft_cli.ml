@@ -37,7 +37,8 @@ let jobs_arg =
   let doc =
     "Number of worker domains (0 = \
      $(b,Domain.recommended_domain_count ()), i.e. the machine's core \
-     count). Verdicts, bug lists and FP signatures are bit-identical \
+     count; 1 runs the campaign on the main domain and spawns none). \
+     Verdicts, bug lists and FP signatures are bit-identical \
      at any job count; only wall time changes."
   in
   Arg.(value & opt count 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
@@ -48,7 +49,7 @@ let shards_arg =
      0 picks a default: one shard per job for $(b,fuzz), 1 for \
      $(b,tables) (whose campaigns already run in parallel — sharding \
      them too would oversubscribe the cores). More shards than jobs is \
-     fine; 1 shard is the sequential pipeline."
+     fine; 1 shard is a sequential campaign."
   in
   Arg.(value & opt count 0 & info [ "shards" ] ~docv:"K" ~doc)
 
@@ -348,8 +349,8 @@ let tables_cmd =
     (* dialect campaigns parallelise across domains; tables are rendered
        from the merged per-dialect results, so the output is identical
        at any job count. Shards default to 1 here: campaign jobs are
-       already one domain each, and nesting shard pools inside them
-       would run jobs x (shards + 1) domains. *)
+       already one domain each, and sharding inside them would run
+       jobs x (shards + 1) domains. *)
     let jobs =
       if jobs <= 0 then Domain.recommended_domain_count () else jobs
     in

@@ -392,6 +392,4 @@ let bugs t = List.rev t.found
 let coverage t = t.cov
 let arming_coverage t = Array.to_list t.arming
 let engine t = t.engine
-let profile t = t.prof
-let telemetry t = t.tel
 let exec_profile t = t.xprof

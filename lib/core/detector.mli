@@ -151,12 +151,6 @@ val engine : t -> Sqlfun_engine.Engine.t
 (** The detector's engine. It lives as long as the detector: a crash
     restart resets it in place. *)
 
-val profile : t -> Dialect.profile
-
-val telemetry : t -> Sqlfun_telemetry.Telemetry.t
-(** The collector the detector records into (the one passed to
-    {!create}, or its private one). *)
-
 val exec_profile : t -> Sqlfun_telemetry.Profile.t
 (** The attribution profiler the detector's engine charges (the one
     passed to {!create}, or its private one). *)

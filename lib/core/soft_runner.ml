@@ -4,7 +4,6 @@ module Coverage = Sqlfun_coverage.Coverage
 module Telemetry = Sqlfun_telemetry.Telemetry
 module Profile = Sqlfun_telemetry.Profile
 module Timeseries = Sqlfun_telemetry.Timeseries
-module Pool = Sqlfun_parallel.Pool
 module Progress = Sqlfun_parallel.Progress
 module Value = Sqlfun_value.Value
 
@@ -76,14 +75,14 @@ let drain_share emit works n =
   in
   go works 0
 
-(* The budgeted enumeration both the sequential and the sharded path
-   share — they MUST emit the same stream in the same order, or sharding
-   would change results. Each round splits the remaining budget over the
-   streams still live (pattern order, {!split_budget} shares); a stream
-   that runs dry below its share drops out and its unused share is
-   re-split in the next round, so a campaign executes exactly [b] cases
-   whenever the patterns can supply them. Terminates because every
-   round either spends budget or removes a dry stream. *)
+(* The budgeted enumeration every worker runs — all of them MUST emit
+   the same stream in the same order, or sharding would change results.
+   Each round splits the remaining budget over the streams still live
+   (pattern order, {!split_budget} shares); a stream that runs dry below
+   its share drops out and its unused share is re-split in the next
+   round, so a campaign executes exactly [b] cases whenever the
+   patterns can supply them. Terminates because every round either
+   spends budget or removes a dry stream. *)
 let emit_budgeted ~budget ~streams ~emit =
   match budget with
   | None -> List.iter (fun cases -> Seq.iter emit cases) streams
@@ -105,9 +104,9 @@ let emit_budgeted ~budget ~streams ~emit =
              !live shares)
     done
 
-(* One snapshot probe per campaign side (a shard, or the sequential
-   whole): branch/function counts from the coverage recorder, bug counts
-   from the detector, and the campaign-wide per-shard progress view. Probes run at snapshot
+(* One snapshot probe per shard: branch/function counts from the
+   coverage recorder, bug counts from the detector, and the
+   campaign-wide per-shard progress view. Probes run at snapshot
    cadence only, so the O(bugs) length walk is fine. *)
 let probe_of det progress =
   {
@@ -118,33 +117,6 @@ let probe_of det progress =
     p_new_bugs = (fun () -> List.length (Detector.bugs det));
     p_dup_bugs = (fun () -> Detector.dup_crashes det);
     p_shard_cases = (fun () -> Progress.read progress);
-  }
-
-let mk_result ~prof ~seeds ~tel ~cov ~profile ~positions ~cases_executed
-    ~scenarios_executed ~prereq_statements ~stage_verdicts
-    ~passed ~clean_errors ~false_positives ~fp_signatures ~known_crashes ~bugs
-    =
-  {
-    dialect = prof;
-    seeds_collected = List.length seeds;
-    positions;
-    cases_executed;
-    scenarios_executed;
-    prereq_statements;
-    stage_verdicts;
-    passed;
-    clean_errors;
-    false_positives;
-    unique_false_positives = List.length fp_signatures;
-    fp_signatures;
-    known_crashes;
-    bugs;
-    functions_triggered = Coverage.prefixed_count cov "fn/";
-    branches_covered = Coverage.count cov;
-    timings = Telemetry.stage_timings tel;
-    coverage = cov;
-    telemetry = tel;
-    profile;
   }
 
 (* The CLI "positions" line stays honest for stateful campaigns: the
@@ -159,14 +131,15 @@ let count_all_positions ~registry ~seeds ~stateful =
          (Patterns.generate_scenarios ~registry ~seeds ())
      else 0)
 
-(* The budgeted streams both paths share: every pattern's stateless
-   work in paper order, then — by default — the synthesized stateful
-   stream as an eleventh source. With [batch] the skeleton-sharing
-   families arrive as [Patterns.Batched] slot-stream runs; with
-   [batch:false] (and always for the stateful stream, whose scenarios
-   are atomic) every item is a [Single], reproducing the historical
-   per-case enumeration. Flattening either form yields the same cases
-   in the same order, so the two modes execute identical streams. *)
+(* The budgeted streams every worker enumerates: every pattern's
+   stateless work in paper order, then — by default — the synthesized
+   stateful stream as an eleventh source. With [batch] the
+   skeleton-sharing families arrive as [Patterns.Batched] slot-stream
+   runs; with [batch:false] (and always for the stateful stream, whose
+   scenarios are atomic) every item is a [Single], reproducing the
+   historical per-case enumeration. Flattening either form yields the
+   same cases in the same order, so the two modes execute identical
+   streams. *)
 let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
   List.map
     (fun p ->
@@ -184,121 +157,39 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
        ]
      else [])
 
-(* ----- the sequential path (shards = 1) ----- *)
+(* ----- the campaign -----
 
-let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(stateful = true) ?(batch = true) prof =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let t0 = Telemetry.now_ns () in
-  (* compact hit/spill cells are domain-local; the whole sequential
-     campaign runs on this domain, so one before/after delta attributes
-     its compact activity exactly *)
-  let compact0 = Value.Compact.read () in
-  (* the result record is built after the campaign span closes so the
-     "campaign" stage itself shows up in [timings]; the flush guard runs
-     even when a case raises, so streaming sinks survive an abnormal
-     termination with the campaign's tail intact *)
-  let registry, seeds, detector =
-    Fun.protect ~finally:(fun () -> Telemetry.flush tel) @@ fun () ->
-    Telemetry.with_span tel ~dialect:prof.Dialect.id "campaign" @@ fun () ->
-    let registry = Dialect.registry prof in
-    let seeds =
-      Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
-    in
-    let detector = Detector.create ?cov ~telemetry:tel prof in
-    let progress = Progress.create 1 in
-    let recorder =
-      Option.map
-        (fun cfg -> Timeseries.recorder cfg ~shard:0 (probe_of detector progress))
-        timeseries
-    in
-    let tick () =
-      Progress.tick progress 0;
-      Option.iter Timeseries.tick recorder
-    in
-    (* Sanity pass: the regression suite must run on the armed server too —
-       the paper's tool replays the suite it scanned. *)
-    Telemetry.with_span tel ~dialect:prof.Dialect.id "seed-replay" (fun () ->
-        List.iter
-          (fun (seed : Collector.seed) ->
-            ignore (Detector.run_stmt detector seed.Collector.stmt);
-            tick ())
-          seeds);
-    emit_budgeted ~budget
-      ~streams:(work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch)
-      ~emit:(function
-        | Patterns.Single sc ->
-          ignore (Detector.run_scenario detector sc);
-          tick ()
-        | Patterns.Batched b ->
-          Detector.run_batch detector b;
-          for _ = 1 to Patterns.batch_size b do
-            tick ()
-          done);
-    Option.iter Timeseries.finalize recorder;
-    (registry, seeds, detector)
-  in
-  let cdelta = Value.Compact.since compact0 in
-  Telemetry.compact_add tel ~hits:cdelta.Value.Compact.hits
-    ~spills:cdelta.Value.Compact.spills;
-  Option.iter
-    (fun cfg ->
-      ignore
-        (Timeseries.campaign_final cfg
-           ~elapsed_ns:(Telemetry.now_ns () - t0)
-           ~cases:(Detector.executed detector)
-           ~branches:(Coverage.count (Detector.coverage detector))
-           ~functions:
-             (Coverage.prefixed_count (Detector.coverage detector) "fn/")
-           ~new_bugs:(List.length (Detector.bugs detector))
-           ~dup_bugs:(Detector.dup_crashes detector)
-           ~shard_cases:[| Detector.executed detector |]))
-    timeseries;
-  mk_result ~prof ~seeds ~tel
-    ~cov:(Detector.coverage detector)
-    ~profile:(Detector.exec_profile detector)
-    ~positions:(count_all_positions ~registry ~seeds ~stateful)
-    ~cases_executed:(Detector.executed detector)
-    ~scenarios_executed:(Detector.scenarios_executed detector)
-    ~prereq_statements:(Detector.prereq_statements detector)
-    ~stage_verdicts:(Detector.stage_verdicts detector)
-    ~passed:(Detector.passed detector)
-    ~clean_errors:(Detector.clean_errors detector)
-    ~false_positives:(Detector.false_positives detector)
-    ~fp_signatures:(Detector.fp_signatures detector)
-    ~known_crashes:(Detector.known_crashes detector)
-    ~bugs:(Detector.bugs detector)
-
-(* ----- the sharded path -----
-
-   There is no producer: every worker domain enumerates, by itself,
-   exactly the stream a sequential run would execute (seed replay
-   first, then every pattern in paper order under the same budget
-   shares) — the streams are pure, so each worker sees the identical
-   enumeration — and numbers each work item with its 1-based index in
-   that stream. Item [n] belongs to shard [(n - 1) mod shards]; shard
-   [s] is owned by worker [s mod jobs], and a worker executes only the
-   items of its own shards, stepping over the rest. A family batch is
-   cut into per-shard member slices, each paired with its members'
-   global case numbers. The main domain only collects the seeds, runs
-   the pool and merges.
+   There is no producer: every worker enumerates, by itself, the whole
+   case stream (seed replay first, then every pattern in paper order
+   under the budget shares of {!emit_budgeted}) — the streams are pure,
+   so each worker sees the identical enumeration — and numbers each work
+   item with its 1-based index in that stream. Item [n] belongs to shard
+   [(n - 1) mod shards]; shard [s] is owned by worker [s mod jobs], and
+   a worker executes only the items of its own shards, stepping over the
+   rest. A family batch is cut into per-shard member slices, each paired
+   with its members' global case numbers. The workers run through
+   [Sqlfun_parallel.map]: at [jobs = 1] the one worker runs on the
+   calling domain, otherwise each runs on a spawned domain; the calling
+   domain collects the seeds and merges.
 
    Each worker times its own enumeration: its seed loop runs inside a
    "seed-replay" span and generation inside "generate" spans, both on
    the collector of its first owned shard (shard [w]), so the merged
-   "generate" stage counts [jobs] times the sequential calls.
+   "generate" stage counts [jobs] times the one-shard calls.
 
-   Each shard runs a private engine/detector/coverage/telemetry, and
-   each worker a private registry ([Registry.resolve] memoises into
-   it) — nothing mutable is shared between domains. Because a shard
-   executes its sub-stream in increasing global order, merging is pure
-   bookkeeping afterwards: counters and histograms add, coverage points
-   union, and the New-vs-Dup split is re-derived by globally ordering
-   crash records on case number ([Detector.merge_bugs]). *)
+   With one shard, the shard's collector, coverage recorder and
+   profiler are the campaign's own: per-case events reach the caller's
+   sink and nothing is merged. With more, each shard runs a private
+   engine/detector/coverage/telemetry, and each worker a private
+   registry ([Registry.resolve] memoises into it) — nothing mutable is
+   shared between domains. Because a shard executes its sub-stream in
+   increasing global order, merging is pure bookkeeping afterwards:
+   counters and histograms add, coverage points union, and the
+   New-vs-Dup split is re-derived by globally ordering crash records on
+   case number ([Detector.merge_bugs]). *)
 
-let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(stateful = true) ?(batch = true) ~shards
-    ?jobs prof =
+let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
+    ?(stateful = true) ?(batch = true) ?(shards = 1) ?jobs prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
     match jobs with
@@ -307,23 +198,31 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
   in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let campaign_cov = match cov with Some c -> c | None -> Coverage.create () in
+  let campaign_profile = Profile.create () in
   let dialect = prof.Dialect.id in
   let t0 = Telemetry.now_ns () in
-  (* per-shard attribution profilers, allocated on the main domain but
-     only ever charged by the shard's owning worker; merged (in shard
-     order) into the campaign profile afterwards *)
-  let shard_profiles = Array.init shards (fun _ -> Profile.create ()) in
+  (* per-shard recorders: the campaign's own with one shard, otherwise
+     allocated on the calling domain but only ever charged by the
+     shard's owning worker, and merged in shard order afterwards *)
+  let per_shard own fresh =
+    if shards = 1 then [| own |] else Array.init shards (fun _ -> fresh ())
+  in
+  let shard_covs = per_shard campaign_cov Coverage.create in
+  let shard_tels = per_shard tel Telemetry.create in
+  let shard_profiles = per_shard campaign_profile Profile.create in
   let progress = Progress.create shards in
-  let registry, seeds, shard_covs, shard_tels, detectors =
+  (* the result record is built after the campaign span closes so the
+     "campaign" stage itself shows up in [timings]; the flush guard runs
+     even when a case raises, so streaming sinks survive an abnormal
+     termination with the campaign's tail intact *)
+  let registry, seeds, detectors =
     Fun.protect ~finally:(fun () -> Telemetry.flush tel) @@ fun () ->
     Telemetry.with_span tel ~dialect "campaign" @@ fun () ->
     let registry = Dialect.registry prof in
     let seeds =
       Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
     in
-    let shard_covs = Array.init shards (fun _ -> Coverage.create ()) in
-    let shard_tels = Array.init shards (fun _ -> Telemetry.create ()) in
-    let worker w () =
+    let worker w =
       (* engines are armed inside the worker domain, so even startup
          cost parallelises. Compact hit/spill cells are domain-local, so
          a before/after delta taken inside the worker attributes exactly
@@ -345,7 +244,7 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
                   ~profile:shard_profiles.(s) prof
               in
-              (* a sequential campaign records the arming coverage once,
+              (* a one-shard campaign records the arming coverage once,
                  so only shard 0 keeps it; restarts still credit it *)
               if s > 0 then Coverage.reset shard_covs.(s);
               let recorder =
@@ -426,35 +325,34 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
       Array.map (Option.map fst) owned
     in
     let per_worker =
-      Pool.with_pool jobs (fun pool ->
-          Pool.run pool (List.init jobs (fun w -> worker w)))
+      Array.of_list (Sqlfun_parallel.map ~jobs worker (List.init jobs Fun.id))
     in
     let detectors =
-      Array.init shards (fun s -> Option.get (List.nth per_worker (s mod jobs)).(s))
+      Array.init shards (fun s -> Option.get per_worker.(s mod jobs).(s))
     in
-    (registry, seeds, shard_covs, shard_tels, detectors)
+    (registry, seeds, detectors)
   in
   (* deterministic merge, in shard order *)
-  Array.iter (fun c -> Coverage.merge_into ~dst:campaign_cov c) shard_covs;
-  Array.iter (fun t -> Telemetry.merge_into ~dst:tel t) shard_tels;
   let bugs, demoted =
-    Detector.merge_bugs
-      (Array.to_list (Array.map Detector.bugs detectors))
+    Detector.merge_bugs (Array.to_list (Array.map Detector.bugs detectors))
   in
-  List.iter
-    (fun (b : Detector.found_bug) ->
-      let pattern =
-        match b.Detector.found_by with
-        | Some p -> Pattern_id.to_string p
-        | None -> "seed"
-      in
-      Telemetry.reclassify_verdict tel ~dialect ~pattern
-        ~from_:Telemetry.New_bug ~to_:Telemetry.Dup_bug)
-    demoted;
-  let campaign_profile = Profile.create () in
-  Array.iter
-    (fun p -> Profile.merge_into ~dst:campaign_profile p)
-    shard_profiles;
+  if shards > 1 then begin
+    Array.iter (fun c -> Coverage.merge_into ~dst:campaign_cov c) shard_covs;
+    Array.iter (fun t -> Telemetry.merge_into ~dst:tel t) shard_tels;
+    Array.iter
+      (fun p -> Profile.merge_into ~dst:campaign_profile p)
+      shard_profiles;
+    List.iter
+      (fun (b : Detector.found_bug) ->
+        let pattern =
+          match b.Detector.found_by with
+          | Some p -> Pattern_id.to_string p
+          | None -> "seed"
+        in
+        Telemetry.reclassify_verdict tel ~dialect ~pattern
+          ~from_:Telemetry.New_bug ~to_:Telemetry.Dup_bug)
+      demoted
+  end;
   let sum f = Array.fold_left (fun acc d -> acc + f d) 0 detectors in
   let fp_signatures =
     List.sort_uniq String.compare
@@ -462,9 +360,9 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
   in
   (* the campaign-final snapshot is computed from the deterministically
      merged totals, never from racing shard streams: its
-     cases/branches/functions/new_bugs/dup_bugs match a sequential run
-     of the same campaign bit-for-bit (rates and timestamps are
-     throughput metadata and do not) *)
+     cases/branches/functions/new_bugs/dup_bugs are identical at any
+     shard count (rates and timestamps are throughput metadata and are
+     not) *)
   Option.iter
     (fun cfg ->
       ignore
@@ -489,56 +387,33 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
       { Detector.parse = 0; execute = 0; storage = 0 }
       detectors
   in
-  mk_result ~prof ~seeds ~tel ~cov:campaign_cov ~profile:campaign_profile
-    ~positions:(count_all_positions ~registry ~seeds ~stateful)
-    ~cases_executed:(sum Detector.executed)
-    ~scenarios_executed:(sum Detector.scenarios_executed)
-    ~prereq_statements:(sum Detector.prereq_statements)
-    ~stage_verdicts
-    ~passed:(sum Detector.passed)
-    ~clean_errors:(sum Detector.clean_errors)
-    ~false_positives:(sum Detector.false_positives)
-    ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
+  {
+    dialect = prof;
+    seeds_collected = List.length seeds;
+    positions = count_all_positions ~registry ~seeds ~stateful;
+    cases_executed = sum Detector.executed;
+    scenarios_executed = sum Detector.scenarios_executed;
+    prereq_statements = sum Detector.prereq_statements;
+    stage_verdicts;
+    passed = sum Detector.passed;
+    clean_errors = sum Detector.clean_errors;
+    false_positives = sum Detector.false_positives;
+    unique_false_positives = List.length fp_signatures;
+    fp_signatures;
+    known_crashes = sum Detector.known_crashes;
+    bugs;
+    functions_triggered = Coverage.prefixed_count campaign_cov "fn/";
+    branches_covered = Coverage.count campaign_cov;
+    timings = Telemetry.stage_timings tel;
+    coverage = campaign_cov;
+    telemetry = tel;
+    profile = campaign_profile;
+  }
 
-let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?stateful ?batch
-    ?(shards = 1) ?jobs prof =
-  if shards <= 1 then
-    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?stateful
-      ?batch prof
-  else
-    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?stateful
-      ?batch ~shards ?jobs prof
-
-let fuzz_all ?budget ?telemetry ?timeseries ?stateful ?batch ?(jobs = 1)
-    ?(shards = 1) () =
-  if jobs <= 1 then
-    List.map
-      (fun prof ->
-        fuzz ?budget ?telemetry ?timeseries ?stateful ?batch ~shards prof)
-      Dialect.all
-  else begin
-    (* each campaign records into a private collector on its own domain;
-       the caller's collector receives the merged aggregates afterwards,
-       in dialect order, so shared-collector totals match a sequential
-       [fuzz_all] (per-case events are not replayed into the shared
-       sink — pass a sink per campaign, or run sequentially, to
-       stream them) *)
-    let results =
-      Pool.with_pool
-        (Stdlib.min jobs (List.length Dialect.all))
-        (fun pool ->
-          Pool.run pool
-            (List.map
-               (fun prof () ->
-                 fuzz ?budget ?timeseries ?stateful ?batch ~shards prof)
-               Dialect.all))
-    in
-    Option.iter
-      (fun tel ->
-        List.iter (fun r -> Telemetry.merge_into ~dst:tel r.telemetry) results)
-      telemetry;
-    results
-  end
+let fuzz_all ?budget ?stateful ?batch ?(jobs = 1) ?(shards = 1) () =
+  Sqlfun_parallel.map ~jobs
+    (fun prof -> fuzz ?budget ?stateful ?batch ~shards prof)
+    Dialect.all
 
 let bugs_by_pattern_family result =
   let count family =

@@ -3,17 +3,14 @@
     One call of {!fuzz} is one "testing campaign" against one simulated
     DBMS, the unit the paper's Tables 4–6 aggregate.
 
-    Campaigns parallelise at two levels on OCaml 5 domains
-    ({!Sqlfun_parallel.Pool}):
-
-    - {b shard-level} — {!fuzz} [~shards:k] partitions the case stream
-      round-robin across [k] shards, each with a private
-      engine/detector/coverage/telemetry, and merges the shard results
-      deterministically: verdict counters, bug lists (order and case
-      numbers included) and FP-signature sets are bit-identical to a
-      sequential run regardless of shard count or completion order.
-    - {b dialect-level} — {!fuzz_all} [~jobs:n] runs whole campaigns on
-      separate domains.
+    A campaign has one body. It partitions the case stream round-robin
+    across [shards], each with a private engine/detector, runs the
+    shards on [jobs] domains ({!Sqlfun_parallel.map}) and merges the
+    shard results deterministically: verdict counters, bug lists (order
+    and case numbers included) and FP-signature sets are bit-identical
+    at any shard count or completion order. A sequential campaign is the
+    one-shard case, run on the calling domain with nothing to merge.
+    {!fuzz_all} [~jobs:n] runs whole campaigns on separate domains.
 
     Only wall-clock timings differ between a parallel and a sequential
     run; the "execute"/"detect" stage totals still measure CPU time
@@ -104,62 +101,44 @@ val fuzz :
     family batch is split by member across shards along the same
     round-robin single cases follow. Compact construction/spill
     counts are credited to the campaign collector
-    ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per campaign
-    side (per worker domain under sharding).
+    ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker.
     [telemetry] plugs in a shared collector/sink; without it a private
     null-sink collector still populates [timings] — verdicts and bug
     lists are bit-identical either way.
 
     [shards] (default 1) partitions the case stream across that many
     independent engine instances; [jobs] (default [shards], clamped to
-    it) is the number of worker domains executing them. [shards = 1]
-    is exactly the sequential path. Results are deterministic in
+    [1..shards]) is the number of domains executing them: at [jobs = 1]
+    the calling domain, otherwise spawned domains while the calling
+    domain waits ({!Sqlfun_parallel.map}). Results are deterministic in
     [shards] and [jobs]: only timings change. There is no producer
     domain: every worker enumerates the whole case stream itself (seed
     replay, then the budgeted pattern streams) and executes only the
-    items of the shards it owns. Each worker times that enumeration on
-    its first owned shard's collector — its seed loop as one
-    ["seed-replay"] span, its generation as ["generate"] spans — so
-    the merged ["generate"] stage counts [jobs] times the sequential
-    calls. With [shards > 1] a
-    [--trace]-style event sink on [telemetry] sees campaign-level
-    spans but not per-case events (shard collectors are merged as
-    aggregates).
+    items of the shards it owns. Each worker times
+    that enumeration on its first owned shard's collector — its seed
+    loop as one ["seed-replay"] span, its generation as ["generate"]
+    spans — so the merged ["generate"] stage counts [jobs] times the
+    one-shard calls. With one shard, the shard records straight into
+    [telemetry], [cov] and the campaign profiler, so a
+    [--trace]-style event sink sees every per-case event; with
+    [shards > 1] it sees campaign-level spans but not per-case events
+    (shard collectors are merged as aggregates).
 
     [timeseries] enables periodic campaign snapshots
     ({!Sqlfun_telemetry.Timeseries}): every executed case ticks a
     recorder (one per shard), and the campaign closes with a
     campaign-final snapshot ([shard = -1]) computed from the merged
     totals — its cases/branches/functions/new_bugs/dup_bugs fields are
-    identical at any shard/job count. Under sharding the [cfg.emit]
-    callback runs on worker domains and must be thread-safe.
+    identical at any shard/job count. With [jobs > 1] the [cfg.emit]
+    callback runs on several domains and must be thread-safe.
 
     Registered telemetry flushers ({!Sqlfun_telemetry.Telemetry.flush})
     run when the campaign ends {e and} when it unwinds on an exception,
     and on every engine crash-restart, so streaming sinks are never
     left with a silently truncated tail. *)
 
-val fuzz_sharded :
-  ?budget:int ->
-  ?cov:Sqlfun_coverage.Coverage.t ->
-  ?telemetry:Sqlfun_telemetry.Telemetry.t ->
-  ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
-  ?patterns:Pattern_id.t list ->
-  ?stateful:bool ->
-  ?batch:bool ->
-  shards:int ->
-  ?jobs:int ->
-  Dialect.profile ->
-  result
-(** The sharded pipeline itself, without {!fuzz}'s [shards <= 1]
-    short-circuit — exposed so tests can pin a [shards:1] run of the
-    shard/merge machinery against the plain sequential path
-    field-for-field. *)
-
 val fuzz_all :
   ?budget:int ->
-  ?telemetry:Sqlfun_telemetry.Telemetry.t ->
-  ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?stateful:bool ->
   ?batch:bool ->
   ?jobs:int ->
@@ -167,11 +146,10 @@ val fuzz_all :
   unit ->
   result list
 (** One campaign per dialect, paper order. [jobs] (default 1) runs
-    campaigns on that many worker domains; [shards] is passed through
-    to each campaign. A shared [telemetry] yields cross-dialect
-    aggregates (counters stay keyed by dialect); with [jobs > 1] each
-    campaign records privately and the shared collector receives the
-    merged aggregates in dialect order. *)
+    campaigns on that many spawned domains ([jobs = 1]: in turn on the
+    calling domain); [shards]
+    is passed through to each campaign. Each campaign records into its
+    own collector ({!result.telemetry}). *)
 
 val bugs_by_pattern_family : result -> (Pattern_id.family * int) list
 val bug_summary_line : Detector.found_bug -> string

@@ -476,6 +476,7 @@ and eval_binop env ~row op a b =
            check it feeds — is exactly the flat concatenation's; the
            result stays compact *)
         Fn_ctx.alloc_check env.ctx (la + lb);
+        Value.Compact.hit ();
         (match Value.rope_concat va vb with
          | Some v -> ret v
          | None -> assert false (* both operands are strings *))

@@ -58,12 +58,17 @@ let concat_fn =
       in
       Fn_ctx.alloc_check ctx total;
       if total >= Value.Compact.min_str_bytes then
-        (* O(1) per part: chain the pieces as a rope; a rope part from
+        (* O(1) per part: chain the pieces as one rope; a rope part from
            an inner REPEAT stays unflattened *)
-        List.fold_left
-          (fun acc p ->
-            match Value.rope_concat acc p with Some v -> v | None -> acc)
-          (Value.Str "") parts
+        match parts with
+        | [ only ] -> only
+        | first :: rest ->
+          Value.Compact.hit ();
+          List.fold_left
+            (fun acc p ->
+              match Value.rope_concat acc p with Some v -> v | None -> acc)
+            first rest
+        | [] -> assert false (* min_args 1 *)
       else
         ret_str
           (String.concat ""
@@ -260,7 +265,10 @@ let repeat_fn =
         else if slen * n >= Value.Compact.min_str_bytes then
           (* O(1): the result is (segment, count); bytes materialize
              only if a consumer genuinely reads them *)
-          Value.str_rope_rep s n
+          begin
+            Value.Compact.hit ();
+            Value.str_rope_rep s n
+          end
         else begin
         let total = slen * n in
         (* doubling blit: one copy of [s], then the filled prefix copies
@@ -331,6 +339,7 @@ let pad_impl side ctx args =
     in
     let sv = Value.Str s in
     let a, b = match side with `Left -> (fill, sv) | `Right -> (sv, fill) in
+    Value.Compact.hit ();
     match Value.rope_concat a b with
     | Some v -> v
     | None -> assert false (* target >= 1 byte total *)
@@ -385,8 +394,10 @@ let space_fn =
         if n > Int64.of_int ctx.Fn_ctx.limits.max_string_bytes then
           raise (Fn_ctx.Resource_limit "SPACE result exceeds cap");
         let n = Int64.to_int n in
-        if n >= Value.Compact.min_str_bytes then
+        if n >= Value.Compact.min_str_bytes then begin
+          Value.Compact.hit ();
           Value.str_rope_rep " " n
+        end
         else ret_str (String.make n ' ')
       end)
 

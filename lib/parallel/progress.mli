@@ -12,11 +12,8 @@ type t
 val create : int -> t
 (** [create n] — [n] shard slots ([max 1 n]). All zero. *)
 
-val shards : t -> int
 val tick : t -> int -> unit
 (** [tick t shard] — one more case done on [shard]. Wait-free. *)
 
 val read : t -> int array
 (** Current per-shard counts. *)
-
-val total : t -> int

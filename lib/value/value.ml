@@ -250,7 +250,6 @@ let rope_flatten r =
     s
 
 let str_rope_rep seg n =
-  Compact.hit ();
   Rope_str { rp_node = R_rep (seg, n); rp_bytes = String.length seg * n }
 
 let rope_of_value = function
@@ -264,7 +263,6 @@ let rope_of_value = function
 let rope_concat a b =
   match (rope_of_value a, rope_of_value b) with
   | Some (na, la), Some (nb, lb) when la + lb > 0 ->
-    Compact.hit ();
     Some (Rope_str { rp_node = R_cat (na, nb); rp_bytes = la + lb })
   | _ -> None
 

@@ -95,6 +95,12 @@ module Compact : sig
   val since : counters -> counters
   (** [since c0] is the delta between {!read}[ ()] now and [c0]. *)
 
+  val hit : unit -> unit
+  (** Counts one compact value built. The range builders below count
+      themselves; a rope may take several {!str_rope_rep}/{!rope_concat}
+      nodes, so those do not, and the producer that returns a rope counts
+      it once. *)
+
   val min_array_len : int
   (** Arrays shorter than this stay boxed. *)
 
@@ -130,11 +136,12 @@ val range_spill : range_arr -> t list
 val str_rope_rep : string -> int -> t
 (** O(1) compact [REPEAT]: segment repeated [n] times (nonempty segment,
     [n >= 1]). Callers enforce the {!Compact.min_str_bytes} threshold
-    on the product. *)
+    on the product, and count the rope they return ({!Compact.hit}). *)
 
 val rope_concat : t -> t -> t option
 (** O(1) concatenation when both operands are strings ([Str] or
-    [Rope_str]) with a nonempty result; [None] otherwise. *)
+    [Rope_str]) with a nonempty result; [None] otherwise. Not counted,
+    like {!str_rope_rep}. *)
 
 val rope_flatten : rope_str -> string
 (** The flat string, built once (single [Bytes] allocation, repeated

@@ -120,11 +120,12 @@ let interpreter =
         T_text; T_blob; T_date; T_time; T_datetime; T_interval_t; T_json; T_array_t T_int;
         T_array_t T_text; T_inet; T_uuid; T_geometry; T_xml;
       ]
-  @ List.map op Ast.[ Concat; Eq; Neq; Lt; Le; Gt; Ge; Like; And; Or ]
-  (* arithmetic coerces each operand on its own, so it meets the pool
-     only: between two table values, a 4096-digit divisor costs seconds
-     of decimal long division on each side *)
-  @ List.map (op ~others:pool) Ast.[ Add; Sub; Mul; Div; Mod; Bit_and; Shift_l ]
+  @ List.map op
+      Ast.[ Concat; Eq; Neq; Lt; Le; Gt; Ge; Like; And; Or; Add; Sub; Div; Mod; Bit_and; Shift_l ]
+  (* multiplication meets the pool only: between two table values, two
+     4096-digit operands cost ~0.25 s of schoolbook multiplication on
+     each side *)
+  @ [ op ~others:pool Ast.Mul ]
   @ [
       un "-" (fun a -> select (Ast.Unop (Neg, a)));
       un "NOT" (fun a -> select (Ast.Unop (Not, a)));
@@ -168,14 +169,15 @@ let test_consumers () =
 
 (* The producers' representation decision, the only one left: one below
    its threshold the result is boxed and nothing compact is built, at
-   the threshold it is compact. LPAD, RPAD and CONCAT build two rope
-   nodes (the filler or first part, then the concatenation), so they
-   record two hits. The display equals the eager oracle either way. *)
+   the threshold it is compact and records one hit, however many rope
+   nodes it took (LPAD/RPAD: filler, then concatenation; CONCAT: one
+   node per further part). The display equals the eager oracle either
+   way. *)
 let test_thresholds () =
   let engine = Engine.create ~registry:(Sqlfun_functions.All_fns.registry ()) ~dialect:"t" () in
   let b = Value.Compact.min_str_bytes and h = Value.Compact.min_str_bytes / 2 in
   let lit c k = "'" ^ String.make k c ^ "'" and sql = Printf.sprintf in
-  let ab k = Rope [ Rep ("a", h); Rep ("b", k - h) ] in
+  let ab k = Rope [ Rep ("a", h); Rep ("b", k - h) ] and q = h / 2 in
   List.iter
     (fun (name, threshold, hits, make) ->
       List.iter
@@ -194,10 +196,14 @@ let test_thresholds () =
       ("RANGE", Value.Compact.min_array_len, 1, fun k -> (sql "RANGE(%d)" k, Range (0L, 1L, k)));
       ("REPEAT", b, 1, fun k -> (sql "REPEAT('a', %d)" k, Rope [ Rep ("a", k) ]));
       ("SPACE", b, 1, fun k -> (sql "SPACE(%d)" k, Rope [ Rep (" ", k) ]));
-      ("LPAD", b, 2, fun k -> (sql "LPAD('x', %d, 'a')" k, Rope [ Rep ("a", k - 1); Leaf "x" ]));
-      ("RPAD", b, 2, fun k -> (sql "RPAD('x', %d, 'a')" k, Rope [ Leaf "x"; Rep ("a", k - 1) ]));
+      ("LPAD", b, 1, fun k -> (sql "LPAD('x', %d, 'a')" k, Rope [ Rep ("a", k - 1); Leaf "x" ]));
+      ("RPAD", b, 1, fun k -> (sql "RPAD('x', %d, 'a')" k, Rope [ Leaf "x"; Rep ("a", k - 1) ]));
       ("||", b, 1, fun k -> (lit 'a' h ^ " || " ^ lit 'b' (k - h), ab k));
-      ("CONCAT", b, 2, fun k -> (sql "CONCAT(%s, %s)" (lit 'a' h) (lit 'b' (k - h)), ab k));
+      ("CONCAT", b, 1, fun k -> (sql "CONCAT(%s, %s)" (lit 'a' h) (lit 'b' (k - h)), ab k));
+      ( "3-part CONCAT", b, 1,
+        fun k ->
+          ( sql "CONCAT(%s, %s, %s)" (lit 'a' q) (lit 'b' (h - q)) (lit 'c' (k - h)),
+            Rope [ Rep ("a", q); Rep ("b", h - q); Rep ("c", k - h) ] ) );
     ]
 
 let suite =
