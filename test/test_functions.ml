@@ -164,6 +164,8 @@ let test_math_functions () =
   check "POW(2, 0.5)" "1.41421356237";
   check "MOD(10, 3)" "1";
   check "MOD(10, 0)" "NULL";
+  check "9.0 / 0.5" "18.00000";
+  check "7 % 0.3" "0.1";
   check "DIV(10, 3)" "3";
   check "LN(1)" "0";
   check "LN(0)" "NULL";
